@@ -14,7 +14,7 @@ import sys
 from .credstore import CredentialStore
 from .errors import LsrpError, VerificationFailed
 from .harness import lemma_violations, simulate
-from .params import ProtocolParams, default_params, params_from_config, validate
+from .params import ProtocolParams, params_from_config
 from .regev import default_regev_params, round_trip_accuracy
 from .srp_core import ClientSession, ServerSession, decoy_record, register
 from . import wire
@@ -48,8 +48,6 @@ def load_params(args) -> ProtocolParams:
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
-    if not text and all(v is None for v in overrides.values()):
-        return default_params()
     return params_from_config(text, overrides, allow_unsafe=args.unsafe_params)
 
 

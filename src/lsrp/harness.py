@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTrialCount, VerificationFailed
-from .modq import ModQMatrix, centered_array
+from .modq import ModQMatrix, reduce_array
 from .params import EvenModulus, ModulusTooSmall, ProtocolParams
-from .reconcile import extract
+from .reconcile import extract, extract_bits, hint_bits, shift
 from .sampler import StreamExpander, gaussian_matrix_from
 from .srp_core import (ClientSession, ServerSession, VerifierRecord, client_confirmation_tag,
                        kdf, register, shared_basis)
@@ -127,7 +127,7 @@ def simulate(p: ProtocolParams, trials: int, instrument: bool = False,
         if instrument:
             diff = client.key_material - server.key_material
             max_norm = max(max_norm, diff.inf_norm())
-            if (centered_array(diff.entries, p.q) % 2).any():
+            if (diff.centered() % 2).any():
                 raise AssertionError(f"trial {i}: key-material difference has odd entries")
 
     return HarnessReport(
@@ -190,26 +190,16 @@ def lemma_violations(q: int, tolerance: int | None = None,
     if q <= 8:
         raise ModulusTooSmall(f"modulus must exceed 8, got {q}")
     tol = q // 4 - 2 if tolerance is None else tolerance
-    half = (q - 1) // 2
-    bound = q // 4
     y = np.arange(q, dtype=np.int64)
-    yc = np.where(y <= half, y, y - q)
     offsets = np.arange(-tol, tol + 1, dtype=np.int64)
     offsets = offsets[offsets % 2 == 0]
 
     violations: list[tuple[int, int, int, int]] = []
     for b in (0, 1):
-        if b == 0:
-            inside = (yc >= -bound) & (yc <= bound)
-        else:
-            inside = (yc >= -bound + 1) & (yc <= bound + 1)
-        sigma = (~inside).astype(np.int64)
-        shifted = (y + sigma * half) % q
-        base = np.where(shifted <= half, shifted, shifted - q) % 2
+        sigma = hint_bits(y, b, q)
+        base = extract_bits(y, sigma, q)
         for d in offsets:
-            shifted_x = ((y + d) % q + sigma * half) % q
-            other = np.where(shifted_x <= half, shifted_x, shifted_x - q) % 2
-            bad = np.nonzero(other != base)[0]
+            bad = np.nonzero(extract_bits(reduce_array(y + d, q), sigma, q) != base)[0]
             for idx in bad[:max(0, max_report - len(violations))]:
                 violations.append((int(idx), b, int(d), tol))
             if len(violations) >= max_report:
@@ -219,18 +209,5 @@ def lemma_violations(q: int, tolerance: int | None = None,
 
 def signal_range_max(q: int) -> int:
     """Max |centered((y + hint_b(y)*(q-1)/2) mod q)| over all y and both variants."""
-    half = (q - 1) // 2
-    bound = q // 4
     y = np.arange(q, dtype=np.int64)
-    yc = np.where(y <= half, y, y - q)
-    worst = 0
-    for b in (0, 1):
-        if b == 0:
-            inside = (yc >= -bound) & (yc <= bound)
-        else:
-            inside = (yc >= -bound + 1) & (yc <= bound + 1)
-        sigma = (~inside).astype(np.int64)
-        shifted = (y + sigma * half) % q
-        sc = np.where(shifted <= half, shifted, shifted - q)
-        worst = max(worst, int(np.abs(sc).max()))
-    return worst
+    return max(int(np.abs(shift(y, hint_bits(y, b, q), q)).max()) for b in (0, 1))

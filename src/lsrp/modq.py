@@ -1,17 +1,21 @@
 """Arithmetic over Z_q and over square matrices of Z_q elements.
 
-Entries are stored canonically in [0, q); the centered representative in
-(-q/2, q/2) is computed on demand (reconciliation and norms are the only
-consumers).  Products are routed through float64 BLAS when the exact
-bound n*(q-1)^2 fits in the 53-bit mantissa, through int64 otherwise, and
-through Python big integers as a last resort, so no parameter choice can
-silently wrap.
+Entries are stored canonically in [0, q), q < 2^32 (`Q_LIMIT`).  A product
+centers both operands, multiplies them with float64 BLAS and reduces the
+integer-valued result in int64.  It is exact while n*max|x|*max|y| < 2^53:
+every partial sum is then an integer below 2^53 in any summation order.
+Protocol products (one operand Gaussian) meet that in one pass; otherwise
+the canonical right operand is cut into k-bit limbs with n*max|x|*2^k < 2^53
+and recombined from the top limb in int64, where q*2^k < 2^63 rules out wrap.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionMismatch, ModulusMismatch
+
+Q_LIMIT = 1 << 32  # moduli lie below this; the wire writes entries as 4-byte words
+_FLOAT_EXACT_BITS = 53
 
 
 def centered(x: int, q: int) -> int:
@@ -21,7 +25,13 @@ def centered(x: int, q: int) -> int:
 
 
 def centered_array(entries: np.ndarray, q: int) -> np.ndarray:
-    return np.where(entries <= (q - 1) // 2, entries, entries - q)
+    """Canonical residues in [0, q) as centered representatives in (-q/2, q/2]."""
+    return entries - q * (entries > (q - 1) // 2)
+
+
+def reduce_array(a: np.ndarray, q: int) -> np.ndarray:
+    """a % q, in [0, q); NumPy's int64 `//` by a scalar is several times faster than `%`."""
+    return a - (a // q) * q
 
 
 class ModQMatrix:
@@ -33,6 +43,8 @@ class ModQMatrix:
         arr = np.asarray(entries, dtype=np.int64)
         if arr.shape != (n, n):
             raise DimensionMismatch(f"expected shape ({n}, {n}), got {arr.shape}")
+        if q >= Q_LIMIT:
+            raise ValueError(f"modulus {q} not below 2^32")
         if arr.size and (arr.min() < 0 or arr.max() >= q):
             raise ValueError(f"entries must lie in [0, {q})")
         self.n = n
@@ -51,7 +63,7 @@ class ModQMatrix:
     @classmethod
     def from_signed(cls, n: int, q: int, entries) -> "ModQMatrix":
         """Reduce arbitrary signed integer entries into [0, q)."""
-        arr = np.asarray(entries, dtype=np.int64) % q
+        arr = reduce_array(np.asarray(entries, dtype=np.int64), q)
         return cls(n, q, arr)
 
     def _check(self, other: "ModQMatrix") -> None:
@@ -74,33 +86,39 @@ class ModQMatrix:
 
     def __add__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
-        return ModQMatrix(self.n, self.q, (self.entries + other.entries) % self.q)
+        return ModQMatrix(self.n, self.q, reduce_array(self.entries + other.entries, self.q))
 
     def __sub__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
-        return ModQMatrix(self.n, self.q, (self.entries - other.entries) % self.q)
+        return ModQMatrix(self.n, self.q, reduce_array(self.entries - other.entries, self.q))
 
     def __neg__(self) -> "ModQMatrix":
-        return ModQMatrix(self.n, self.q, (-self.entries) % self.q)
+        return ModQMatrix(self.n, self.q, reduce_array(-self.entries, self.q))
 
     def __matmul__(self, other: "ModQMatrix") -> "ModQMatrix":
+        """Exact product mod q; see the module docstring for the exactness bound."""
         self._check(other)
         n, q = self.n, self.q
-        peak = n * (q - 1) ** 2
-        if peak <= 2 ** 53:
-            # exact in float64; BLAS makes this the fast path for default params
-            prod = self.entries.astype(np.float64) @ other.entries.astype(np.float64)
-            red = np.mod(prod, float(q)).astype(np.int64)
-        elif peak < 2 ** 63:
-            red = (self.entries @ other.entries) % q
+        x = self.centered()
+        y = other.centered()
+        row_bound = n * int(np.abs(x).max(initial=0))
+        if row_bound * int(np.abs(y).max(initial=0)) < 1 << _FLOAT_EXACT_BITS:
+            k, limbs = 0, [y]
         else:
-            obj = self.entries.astype(object) @ other.entries.astype(object)
-            red = (obj % q).astype(np.int64)
-        return ModQMatrix(n, q, red)
+            k = min(_FLOAT_EXACT_BITS - row_bound.bit_length(), 63 - q.bit_length())
+            y = other.entries
+            count = -(-int(y.max()).bit_length() // k)
+            limbs = [(y >> (k * i)) & ((1 << k) - 1) for i in reversed(range(count))]
+        x = x.astype(np.float64)
+        out = None
+        for limb in limbs:
+            part = reduce_array((x @ limb.astype(np.float64)).astype(np.int64), q)
+            out = part if out is None else reduce_array((out << k) + part, q)
+        return ModQMatrix(n, q, out)
 
     def scale2(self) -> "ModQMatrix":
         """Entrywise doubling mod q (the protocol's noise factor 2)."""
-        return ModQMatrix(self.n, self.q, (2 * self.entries) % self.q)
+        return ModQMatrix(self.n, self.q, reduce_array(2 * self.entries, self.q))
 
     def centered(self) -> np.ndarray:
         """Entries as centered representatives in (-q/2, q/2)."""
@@ -110,22 +128,3 @@ class ModQMatrix:
         """Max absolute centered entry."""
         return int(np.abs(self.centered()).max())
 
-
-def add(a: ModQMatrix, b: ModQMatrix) -> ModQMatrix:
-    return a + b
-
-
-def sub(a: ModQMatrix, b: ModQMatrix) -> ModQMatrix:
-    return a - b
-
-
-def mul(a: ModQMatrix, b: ModQMatrix) -> ModQMatrix:
-    return a @ b
-
-
-def scale2(a: ModQMatrix) -> ModQMatrix:
-    return a.scale2()
-
-
-def inf_norm(a: ModQMatrix) -> int:
-    return a.inf_norm()

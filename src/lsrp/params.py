@@ -5,16 +5,19 @@ discrete Gaussian parameter tau, the public 32-byte basis seed, the
 Gaussian tail cutoff and the salt length.  The correctness condition
 12*(tau*sqrt(n))**2 <= q/4 - 2 ties tau and n to q; parameter sets that
 violate it are admitted only through an explicit unsafe flag (needed for
-exhaustive small-q oracle tests).
+exhaustive small-q oracle tests).  q lies below 2^32 (`modq.Q_LIMIT`).  With no
+seed given, every command uses the nothing-up-my-sleeve `DEFAULT_LAMBDA_SEED`.
 """
 from __future__ import annotations
 
-import secrets
+import hashlib
 from dataclasses import dataclass, replace
 
 from .errors import LsrpError
+from .modq import Q_LIMIT
 
 LAMBDA_LEN = 32
+DEFAULT_LAMBDA_SEED = hashlib.shake_256(b"LSRP default public basis").digest(LAMBDA_LEN)
 
 
 class ParamError(LsrpError, ValueError):
@@ -26,6 +29,10 @@ class EvenModulus(ParamError):
 
 
 class ModulusTooSmall(ParamError):
+    pass
+
+
+class ModulusTooLarge(ParamError):
     pass
 
 
@@ -78,6 +85,8 @@ def validate(p: ProtocolParams, allow_unsafe: bool = False) -> ProtocolParams:
         raise EvenModulus(f"modulus must be odd, got {p.q}")
     if p.q <= 8 or p.tolerance <= 0:
         raise ModulusTooSmall(f"modulus too small: q={p.q}")
+    if p.q >= Q_LIMIT:
+        raise ModulusTooLarge(f"modulus {p.q} not below 2^32")
     if not allow_unsafe and p.noise_bound > p.tolerance:
         raise ToleranceViolated(
             f"12*tau^2*n = {p.noise_bound:g} exceeds floor(q/4)-2 = {p.tolerance}"
@@ -89,15 +98,13 @@ def validate(p: ProtocolParams, allow_unsafe: bool = False) -> ProtocolParams:
     return p
 
 
-def default_params(lambda_seed: bytes | None = None) -> ProtocolParams:
+def default_params(lambda_seed: bytes = DEFAULT_LAMBDA_SEED) -> ProtocolParams:
     """Demonstration parameters; not a claim of any production security level.
 
     n=128, q=65537, tau=3.0 keep the correctness condition satisfied with
     margin (13824 <= 16382) while an n^3 multiply stays in the millisecond
     range.
     """
-    if lambda_seed is None:
-        lambda_seed = secrets.token_bytes(LAMBDA_LEN)
     return validate(ProtocolParams(n=128, q=65537, tau=3.0, lambda_seed=lambda_seed))
 
 
@@ -135,7 +142,4 @@ def params_from_config(text: str, overrides: dict | None = None,
     fields = parse_config(text)
     if overrides:
         fields.update({k: v for k, v in overrides.items() if v is not None})
-    if "lambda_seed" not in fields:
-        fields["lambda_seed"] = secrets.token_bytes(LAMBDA_LEN)
-    base = default_params(fields["lambda_seed"])
-    return validate(replace(base, **fields), allow_unsafe=allow_unsafe)
+    return validate(replace(default_params(), **fields), allow_unsafe=allow_unsafe)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
-from .modq import ModQMatrix, centered
+from .modq import ModQMatrix, centered, centered_array, reduce_array
 
 
 class BitMatrix:
@@ -70,14 +70,23 @@ def hint1(x: int, q: int) -> int:
     return 0 if -b + 1 <= centered(x, q) <= b + 1 else 1
 
 
-def hint_bits(m: ModQMatrix, variant_bits: np.ndarray) -> np.ndarray:
-    """Vectorized hint evaluation: per-entry variant bit selects hint0 or hint1."""
-    b = m.q // 4
-    xc = m.centered()
-    in0 = (xc >= -b) & (xc <= b)
-    in1 = (xc >= -b + 1) & (xc <= b + 1)
-    inside = np.where(variant_bits.astype(bool), in1, in0)
-    return (~inside).astype(np.uint8)
+def hint_bits(x: np.ndarray, variant, q: int) -> np.ndarray:
+    """Entrywise hint of residues x; variant (per entry, or one bit) 0 is hint0, 1 is hint1."""
+    b = q // 4
+    v = np.asarray(variant, dtype=np.int64)
+    xc = centered_array(x, q)
+    return ((xc < -b + v) | (xc > b + v)).astype(np.uint8)
+
+
+def shift(x: np.ndarray, sigma, q: int) -> np.ndarray:
+    """Centered value of (x + sigma*(q-1)/2) mod q, whose parity is the shared bit."""
+    s = np.asarray(sigma, dtype=np.int64)
+    return centered_array(reduce_array(x + s * ((q - 1) // 2), q), q)
+
+
+def extract_bits(x: np.ndarray, sigma, q: int) -> np.ndarray:
+    """Entrywise extractor on canonical residues x and hint bits sigma."""
+    return (shift(x, sigma, q) & 1).astype(np.uint8)
 
 
 def _fresh_bits(count: int) -> np.ndarray:
@@ -93,7 +102,7 @@ def signal(m: ModQMatrix, bit_source: Callable[[int], np.ndarray] | None = None)
     """
     src = bit_source if bit_source is not None else _fresh_bits
     variants = np.asarray(src(m.n * m.n), dtype=np.uint8).reshape(m.n, m.n)
-    return SignalMatrix(m.n, hint_bits(m, variants))
+    return SignalMatrix(m.n, hint_bits(m.entries, variants, m.q))
 
 
 def extract_bit(x: int, sigma: int, q: int) -> int:
@@ -111,7 +120,4 @@ def extract(m: ModQMatrix, s: SignalMatrix) -> KeyBits:
     """Entrywise extractor; deterministic in (m, s)."""
     if m.n != s.n:
         raise DimensionMismatch(f"{m.n} vs {s.n}")
-    half = (m.q - 1) // 2
-    vals = (m.entries + s.bits.astype(np.int64) * half) % m.q
-    vals = np.where(vals <= half, vals, vals - m.q)
-    return KeyBits(m.n, (vals % 2).astype(np.uint8))
+    return KeyBits(m.n, extract_bits(m.entries, s.bits, m.q))

@@ -4,7 +4,8 @@ Frame layout: magic "LSRP", version byte 0x01, kind byte, 4-byte
 big-endian body length, body.  All integers are big-endian; bit matrices
 pack row-major, MSB first.  Matrix entries are fixed 4-byte words
 regardless of q: wasteful for small q but one canonical encoding keeps
-cross-implementation vectors trivial.
+cross-implementation vectors trivial.  A frame declaring q >= 2^32 is
+rejected, since its entries could not fit.
 
 Session keys and confirmation secrets never appear as fields; only
 32-byte tags cross the wire.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LsrpError
-from .modq import ModQMatrix
+from .modq import Q_LIMIT, ModQMatrix
 from .reconcile import SignalMatrix
 
 MAGIC = b"LSRP"
@@ -158,7 +159,7 @@ def _read_matrix(cur: _Cursor) -> ModQMatrix:
     q = cur.u64()
     if n < 1 or n > MAX_MATRIX_N:
         raise FieldOutOfRange(f"matrix dimension {n} out of range")
-    if q < 2:
+    if q < 2 or q >= Q_LIMIT:
         raise FieldOutOfRange(f"modulus {q} out of range")
     raw = cur.take(4 * n * n)
     entries = np.frombuffer(raw, dtype=">u4").astype(np.int64).reshape(n, n)

@@ -87,6 +87,30 @@ def test_main_register_then_login(tmp_path, server, capsys):
     assert "login ok key-digest=" in capsys.readouterr().out
 
 
+def test_default_flags_register_serve_login(tmp_path, capsys):
+    """The README flow with no parameter flags: every command derives the same basis."""
+    pw = tmp_path / "pw.txt"
+    pw.write_bytes(b"s3cret\n")
+    store = str(tmp_path / "default.db")
+    assert cli.main(["register", "--store", store, "--id", "alice",
+                     "--password-file", str(pw)]) == cli.EXIT_OK
+
+    p = cli.load_params(cli.build_parser().parse_args(["serve", "--store", store]))
+    srv = cli.LsrpServer(("127.0.0.1", 0), p, CredentialStore.open(store, p))
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = addr(srv)
+        assert cli.main(["login", "--server", f"{host}:{port}", "--id", "alice",
+                         "--password-file", str(pw)]) == cli.EXIT_OK
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert "login ok key-digest=" in capsys.readouterr().out
+
+
 def test_main_register_requires_store_path(tmp_path, monkeypatch):
     monkeypatch.delenv("LSRP_STORE", raising=False)
     pw = tmp_path / "pw.txt"

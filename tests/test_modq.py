@@ -123,9 +123,9 @@ def naive_mul(a: ModQMatrix, b: ModQMatrix) -> ModQMatrix:
 
 
 @pytest.mark.parametrize("q", [
-    41,                 # float64 fast path
-    (1 << 28) + 1,      # int64 path: n*(q-1)^2 between 2^53 and 2^63
-    (1 << 33) + 1,      # big-integer path
+    41,                 # one float64 pass
+    (1 << 28) + 1,      # one pass at n=1, two limbs above
+    4294967291,         # largest prime below 2^32: two limbs
 ])
 def test_mul_matches_bigint_oracle(q):
     rng = np.random.default_rng(q % 2 ** 31)
@@ -133,6 +133,33 @@ def test_mul_matches_bigint_oracle(q):
         a = ModQMatrix(n, q, rng.integers(0, q, size=(n, n)))
         b = ModQMatrix(n, q, rng.integers(0, q, size=(n, n)))
         assert a @ b == naive_mul(a, b)
+
+
+@pytest.mark.parametrize("left,right,n", [
+    ("gaussian", "uniform", 64),    # S*A: one pass on centered entries
+    ("uniform", "gaussian", 64),    # A*S
+    ("uniform", "uniform", 128),    # three 15-bit limbs
+])
+def test_mul_short_and_wide_operands_match_object_oracle(left, right, n):
+    q = 4294967291
+    rng = np.random.default_rng(64)
+
+    def draw(kind):
+        if kind == "gaussian":
+            return ModQMatrix.from_signed(n, q, np.clip(np.rint(rng.normal(0, 3.0, (n, n))), -30, 30))
+        return ModQMatrix(n, q, rng.integers(0, q, size=(n, n)))
+
+    a, b = draw(left), draw(right)
+    oracle = (a.entries.astype(object) @ b.entries.astype(object)) % q
+    assert (a @ b).entries.tolist() == oracle.tolist()
+
+
+def test_modulus_at_or_above_2_32_rejected():
+    ModQMatrix(1, (1 << 32) - 1, [[5]])
+    with pytest.raises(ValueError):
+        ModQMatrix(1, 1 << 32, [[5]])
+    with pytest.raises(ValueError):
+        ModQMatrix(1, (1 << 33) + 1, [[5]])
 
 
 def test_matrices_are_immutable():

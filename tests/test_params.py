@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from lsrp.params import (CutoffTooLarge, EvenModulus, ModulusTooSmall, ParamError,
-                         ProtocolParams, ToleranceViolated, default_params, params_from_config,
-                         parse_config, validate)
+from lsrp.params import (DEFAULT_LAMBDA_SEED, CutoffTooLarge, EvenModulus, ModulusTooLarge,
+                         ModulusTooSmall, ParamError, ProtocolParams, ToleranceViolated,
+                         default_params, params_from_config, parse_config, validate)
 
 LAMBDA = b"\x01" * 32
 
@@ -37,6 +37,20 @@ def test_tolerance_violation_rejected():
 def test_small_modulus_rejected():
     with pytest.raises(ModulusTooSmall):
         validate(mk(q=7, tau=0.1, tail_cutoff=1))
+
+
+def test_modulus_at_or_above_2_32_rejected():
+    validate(mk(q=4294967291))
+    with pytest.raises(ModulusTooLarge):
+        validate(mk(q=(1 << 33) + 1))
+    with pytest.raises(ModulusTooLarge):
+        validate(mk(q=(1 << 32) + 1))
+
+
+def test_default_seed_is_fixed_public_constant():
+    assert default_params().lambda_seed == DEFAULT_LAMBDA_SEED
+    assert params_from_config("").lambda_seed == DEFAULT_LAMBDA_SEED
+    assert params_from_config("n = 16\nq = 12289\ntau = 1.0\n").lambda_seed == DEFAULT_LAMBDA_SEED
 
 
 def test_cutoff_too_large_rejected():

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from lsrp.errors import EmptyField, InvalidState, VerificationFailed
 from lsrp.harness import run_handshake
 from lsrp.modq import ModQMatrix
+from lsrp.params import validate
 from lsrp.reconcile import BitMatrix
 from lsrp.sampler import StreamExpander
 from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerState,
@@ -28,6 +31,15 @@ def test_register_golden_digest(params):
 
     rec = register(params, b"alice", b"pw", salt=SALT)
     assert matrix_digest(rec.verifier) == "c1ef0ab617867774ab14a8005dc08246"
+
+
+def test_register_golden_digest_wide_modulus(params):
+    """n=256, q=2^25-39: pins the profile whose products use the full 25-bit range."""
+    from lsrp.cli import matrix_digest
+
+    wide = validate(dataclasses.replace(params, n=256, q=(1 << 25) - 39))
+    rec = register(wide, b"alice", b"pw", salt=SALT)
+    assert matrix_digest(rec.verifier) == "ed613bebba86dae921f7e3ecc0969087"
 
 
 def test_register_zero_noise_verifier(params):

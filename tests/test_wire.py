@@ -110,6 +110,20 @@ def test_unreduced_matrix_entry_rejected():
         wire.decode_message(frame_with(int(wire.Kind.HELLO), body))
 
 
+@pytest.mark.parametrize("q", [1 << 32, (1 << 33) + 1])
+def test_modulus_at_or_above_2_32_rejected(q):
+    # entry 5 would decode as a valid residue; 4-byte words cannot carry such a q
+    body = struct.pack(">I", 1) + b"a" + struct.pack(">IQ", 1, q) + struct.pack(">I", 5)
+    with pytest.raises(wire.FieldOutOfRange):
+        wire.decode_message(frame_with(int(wire.Kind.HELLO), body))
+
+
+def test_largest_admitted_modulus_round_trips():
+    q = 4294967291
+    msg = wire.Hello(b"a", ModQMatrix(2, q, [[0, 1], [q - 2, q - 1]]))
+    assert wire.decode_message(wire.encode_message(msg)) == msg
+
+
 def test_zero_dimension_matrix_rejected():
     body = struct.pack(">I", 0) + struct.pack(">IQ", 0, 41)
     with pytest.raises(wire.FieldOutOfRange):
