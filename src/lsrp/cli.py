@@ -71,7 +71,17 @@ def parse_addr(text: str) -> tuple[str, int]:
 
 
 class _Handler(socketserver.BaseRequestHandler):
+    # deadline for each socket operation of a connection; run_login's connect uses the same 30 s
+    TIMEOUT = 30.0
+
     def handle(self) -> None:
+        self.request.settimeout(self.TIMEOUT)
+        try:
+            self._exchange()
+        except OSError as exc:  # TimeoutError included: a stalled or vanished client
+            log.warning("connection from %s dropped: %s", self.client_address, exc)
+
+    def _exchange(self) -> None:
         srv = self.server
         try:
             msg = wire.read_frame(self.request)

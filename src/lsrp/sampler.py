@@ -1,10 +1,18 @@
 """Seeded and fresh sampling of uniform and discrete-Gaussian matrices.
 
 All seeded randomness flows through one SHAKE-256 expander so that any
-(tag, seed) pair yields the same byte stream on every platform.  Gaussian
-sampling is inverse-CDT on a 64-bit fixed-point cumulative table: the
-table is plain integer data, so seeded draws are bit-exact, unlike
-rejection samplers whose float rounding varies across platforms.
+(tag, seed) pair yields the same byte stream on every platform.  hashlib's
+SHAKE cannot extend its output, so the expander digests a prefix and
+digests again from byte 0 when a read runs past it; a caller that knows
+its draw budget passes it as `reserve`, and the stream is digested once,
+at that length.  A wrong budget costs time, never different bytes.
+
+Gaussian sampling is inverse-CDT on a 64-bit fixed-point cumulative table:
+the table is plain integer data, so seeded draws are bit-exact, unlike
+rejection samplers whose float rounding varies across platforms.  The
+lookup is indexed by a draw's top 12 bits: a bucket that holds no table
+entry maps every draw in it to the same index, so only the draws in the
+few buckets that hold an entry (about 0.2% at tau=3) need a binary search.
 """
 from __future__ import annotations
 
@@ -20,26 +28,30 @@ from .modq import ModQMatrix
 from .params import ProtocolParams
 
 _U64_MAX = 2 ** 64 - 1
+_PREFIX_BITS = 12
+_PREFIX_SHIFT = 64 - _PREFIX_BITS
 
 
 class StreamExpander:
     """Unbounded deterministic byte stream from SHAKE-256(tag, seed).
 
     Single-owner: reading advances internal position.  Distinct tags give
-    independent streams for the same seed.
+    independent streams for the same seed.  `reserve` is the length of
+    the first digest; reads past it re-digest at double the length.
     """
 
-    def __init__(self, tag: bytes, seed: bytes) -> None:
+    def __init__(self, tag: bytes, seed: bytes, reserve: int = 4096) -> None:
         self._shake = hashlib.shake_256()
         self._shake.update(len(tag).to_bytes(4, "big") + tag + seed)
         self._buf = b""
         self._off = 0
+        self._reserve = reserve
 
     def read(self, k: int) -> bytes:
         need = self._off + k
         if need > len(self._buf):
             # SHAKE output is prefix-consistent, so re-digesting extends the stream
-            self._buf = self._shake.digest(max(need, 2 * len(self._buf), 4096))
+            self._buf = self._shake.digest(max(need, 2 * len(self._buf), self._reserve))
         out = self._buf[self._off:need]
         self._off = need
         return out
@@ -73,18 +85,31 @@ class GaussianTable:
     cutoff: int
     support: np.ndarray
     cdf: np.ndarray
+    first: np.ndarray  # per 12-bit prefix: how many cdf entries lie below its bucket
+    mixed: np.ndarray  # per 12-bit prefix: whether a cdf entry lies inside its bucket
 
     @classmethod
     def build(cls, tau: float, cutoff: int) -> "GaussianTable":
         c = int(math.floor(cutoff * tau))
         support = np.arange(-c, c + 1, dtype=np.int64)
-        cum = _scaled_cumulative_weights(tau, c)
-        return cls(tau=tau, cutoff=cutoff, support=support,
-                   cdf=np.array([np.uint64(c) for c in cum], dtype=np.uint64))
+        cdf = np.array(_scaled_cumulative_weights(tau, c), dtype=np.uint64)
+        per_bucket = np.bincount((cdf >> _PREFIX_SHIFT).astype(np.intp),
+                                 minlength=1 << _PREFIX_BITS)
+        first = (np.cumsum(per_bucket) - per_bucket).astype(np.intp)
+        return cls(tau=tau, cutoff=cutoff, support=support, cdf=cdf,
+                   first=first, mixed=per_bucket > 0)
 
     def sample(self, draws: np.ndarray) -> np.ndarray:
-        """Map uniform 64-bit draws to signed support values (smallest i with cdf[i] >= u)."""
-        idx = np.searchsorted(self.cdf, draws, side="left")
+        """Map uniform 64-bit draws to signed support values (smallest i with cdf[i] >= u).
+
+        Every entry below a draw's bucket is below the draw, so the answer
+        is at least first[bucket]; it is exactly that unless an entry lies
+        inside the bucket, and only those draws are searched.
+        """
+        top = (draws >> _PREFIX_SHIFT).astype(np.intp)
+        idx = self.first[top]
+        hit = np.flatnonzero(self.mixed[top])
+        idx[hit] = np.searchsorted(self.cdf, draws[hit], side="left")
         return self.support[idx]
 
 
@@ -165,6 +190,11 @@ def uniform_matrix(p: ProtocolParams, tag: bytes, seed: bytes) -> ModQMatrix:
     exp = StreamExpander(tag, seed)
     vals = uniform_ints(exp, p.n * p.n, p.q)
     return ModQMatrix(p.n, p.q, vals.reshape(p.n, p.n))
+
+
+def gaussian_matrix_bytes(p: ProtocolParams) -> int:
+    """Stream bytes one gaussian_matrix_from call reads: one u64 per entry."""
+    return 8 * p.n * p.n
 
 
 def gaussian_matrix_from(p: ProtocolParams, expander: StreamExpander) -> ModQMatrix:

@@ -30,7 +30,8 @@ from .errors import DimensionMismatch, EmptyField, InvalidState, LsrpError, Veri
 from .modq import ModQMatrix
 from .params import ProtocolParams
 from .reconcile import KeyBits, SignalMatrix, extract, signal
-from .sampler import StreamExpander, derive_registration_seed, fresh_salt, gaussian_matrix_from, uniform_matrix
+from .sampler import (StreamExpander, derive_registration_seed, fresh_salt, gaussian_matrix_bytes,
+                      gaussian_matrix_from, uniform_matrix)
 
 SESSION_KEY_LEN = 32
 TAG_LEN = 32
@@ -66,7 +67,7 @@ def registration_matrices(p: ProtocolParams, gamma: bytes) -> tuple[ModQMatrix, 
     Drawn in a fixed order (secret first, then noise) from one stream so
     the client can reproduce the verifier exactly during the handshake.
     """
-    exp = StreamExpander(b"LSRP-reg", gamma)
+    exp = StreamExpander(b"LSRP-reg", gamma, reserve=2 * gaussian_matrix_bytes(p))
     s_i = gaussian_matrix_from(p, exp)
     e_i = gaussian_matrix_from(p, exp)
     return s_i, e_i
@@ -180,7 +181,9 @@ class ClientSession:
         self.password: bytes | None = password
         self.state = ClientState.INIT
         self.keep_material = keep_material
-        self._exp = StreamExpander(b"LSRP-client", seed if seed is not None else secrets.token_bytes(32))
+        # draw budget: S_C and E_C in hello, E_C' in finish
+        self._exp = StreamExpander(b"LSRP-client", seed if seed is not None else secrets.token_bytes(32),
+                                   reserve=3 * gaussian_matrix_bytes(p))
         self.s_c: ModQMatrix | None = None
         self.e_c: ModQMatrix | None = None
         self.b_c: ModQMatrix | None = None
@@ -256,7 +259,9 @@ class ServerSession:
         self.record = record
         self.state = ServerState.INIT
         self.keep_material = keep_material
-        self._exp = StreamExpander(b"LSRP-server", seed if seed is not None else secrets.token_bytes(32))
+        # draw budget: S_S, E_S, E_S' and one signal variant bit per entry
+        self._exp = StreamExpander(b"LSRP-server", seed if seed is not None else secrets.token_bytes(32),
+                                   reserve=3 * gaussian_matrix_bytes(p) + (p.n * p.n + 7) // 8)
         self.s_s: ModQMatrix | None = None
         self.e_s: ModQMatrix | None = None
         self.e_s_prime: ModQMatrix | None = None

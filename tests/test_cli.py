@@ -68,6 +68,47 @@ def test_login_unreachable(toy):
     assert code == cli.EXIT_UNREACHABLE and digest is None
 
 
+def test_stalled_client_is_dropped_at_the_deadline(server, toy, monkeypatch, caplog, capsys):
+    import logging
+    import socket
+    import time
+
+    from lsrp import wire
+    from lsrp.srp_core import ClientSession
+
+    monkeypatch.setattr(cli._Handler, "TIMEOUT", 0.5)
+    cid, b_c = ClientSession(toy, b"alice", b"pw").hello()
+    with caplog.at_level(logging.WARNING, logger="lsrp"):
+        with socket.create_connection(addr(server), timeout=5) as sock:
+            sock.sendall(wire.encode_message(wire.Hello(cid, b_c))[:5])
+            start = time.monotonic()
+            assert sock.recv(1) == b""  # the server closed the connection
+            elapsed = time.monotonic() - start
+    assert elapsed < 2
+    dropped = [rec for rec in caplog.records if "dropped" in rec.getMessage()]
+    assert len(dropped) == 1 and dropped[0].levelno == logging.WARNING
+    assert "Traceback" not in capsys.readouterr().err
+    assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
+
+
+def test_import_pins_openblas_threads_unless_set():
+    import os
+    import subprocess
+    import sys
+
+    import lsrp
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lsrp.__file__))
+    show = "import lsrp, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for preset, expected in [(None, "1"), ("2", "2")]:
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", show], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == expected
+
+
 def test_main_register_then_login(tmp_path, server, capsys):
     pw = tmp_path / "pw.txt"
     pw.write_bytes(b"s3cret\n")

@@ -28,6 +28,14 @@ def test_expander_tag_and_seed_separate_streams():
     assert StreamExpander(b"ab", b"c" + b"s").read(64) != StreamExpander(b"a", b"bc" + b"s").read(64)
 
 
+@pytest.mark.parametrize("reserve", [1, 100, 4096, 10_000])
+def test_expander_reserve_gives_the_same_bytes(reserve):
+    for splits in [(5, 7, 100), (reserve,), (reserve - 1, 1, 1), (reserve, 3 * reserve + 17)]:
+        exp = StreamExpander(b"t", b"s", reserve=reserve)
+        got = b"".join(exp.read(k) for k in splits)
+        assert got == StreamExpander(b"t", b"s").read(sum(splits)), splits
+
+
 def test_expander_bits():
     bits = StreamExpander(b"t", b"s").read_bits(13)
     assert bits.shape == (13,) and set(np.unique(bits)) <= {0, 1}
@@ -132,6 +140,26 @@ def test_gaussian_table_invariants():
     mid = len(inc) // 2
     for k in range(1, mid + 1):
         assert abs(int(inc[mid - k]) - int(inc[mid + k])) <= 2  # clamping slack
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0, 3.0, 20.0])
+def test_prefix_lookup_matches_binary_search(tau):
+    """sample's bucket index agrees with a plain binary search over the whole table."""
+    t = GaussianTable.build(tau, 10)
+    if tau == 20.0:
+        assert len(t.support) > 255  # indices past a uint8
+    u64 = 2 ** 64 - 1
+    edges = {0, u64}
+    for c in t.cdf.tolist():
+        edges |= {c - 1, c, c + 1}
+    for k in range(1, 4096):
+        edges |= {(k << 52) - 1, k << 52}
+    draws = np.concatenate([
+        np.array(sorted(e for e in edges if 0 <= e <= u64), dtype=np.uint64),
+        StreamExpander(b"prefix", str(tau).encode()).read_u64(10 ** 5),
+    ])
+    expected = t.support[np.searchsorted(t.cdf, draws, side="left")]
+    assert np.array_equal(t.sample(draws), expected)
 
 
 def oracle_cdf(tau: float, cutoff: int) -> list[int]:

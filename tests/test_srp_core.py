@@ -132,6 +132,36 @@ def test_session_keys_independent_across_handshakes(toy):
     assert len(keys) == 40
 
 
+@pytest.mark.parametrize("profile", ["toy", "params"])
+def test_draw_budgets_are_exact(profile, request, monkeypatch):
+    """Every protocol stream reads exactly its reserve, so SHAKE digests it once.
+
+    A later extra draw would silently re-digest its stream from byte 0;
+    it fails here instead.
+    """
+    from lsrp import srp_core
+
+    p = request.getfixturevalue(profile)
+    opened = []
+
+    class Recording(StreamExpander):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append((args[0], self))
+
+    monkeypatch.setattr(srp_core, "StreamExpander", Recording)
+    rec = register(p, b"alice", b"pw", salt=SALT)
+    _, _, ok = run_handshake(p, rec, b"alice", b"pw",
+                             client_seed=b"\x01" * 32, server_seed=b"\x02" * 32)
+    assert ok
+    assert sorted(tag for tag, _ in opened) == [b"LSRP-client", b"LSRP-reg", b"LSRP-reg",
+                                                b"LSRP-server"]
+    for tag, exp in opened:
+        # the first digest is at least the reserve and any later one twice that,
+        # so a buffer of exactly the reserve was digested once
+        assert exp._off == exp._reserve == len(exp._buf), tag
+
+
 # --- state machine and hygiene --------------------------------------------
 
 def test_client_state_machine(toy):
