@@ -10,6 +10,7 @@ import secrets
 import socket
 import socketserver
 import sys
+import time
 
 from .credstore import CredentialStore
 from .errors import LsrpError, VerificationFailed
@@ -71,11 +72,11 @@ def parse_addr(text: str) -> tuple[str, int]:
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    # deadline for each socket operation of a connection; run_login's connect uses the same 30 s
+    # deadline for the whole connection; run_login's connect uses the same 30 s
     TIMEOUT = 30.0
 
     def handle(self) -> None:
-        self.request.settimeout(self.TIMEOUT)
+        self._deadline = time.monotonic() + self.TIMEOUT
         try:
             self._exchange()
         except OSError as exc:  # TimeoutError included: a stalled or vanished client
@@ -84,7 +85,7 @@ class _Handler(socketserver.BaseRequestHandler):
     def _exchange(self) -> None:
         srv = self.server
         try:
-            msg = wire.read_frame(self.request)
+            msg = wire.read_frame(self.request, self._deadline, wire.max_hello_body(srv.params.n))
         except wire.WireError as exc:
             log.warning("bad frame from %s: %s", self.client_address, exc)
             self._send_error(wire.ErrorCode.BAD_REQUEST, str(exc))
@@ -102,9 +103,9 @@ class _Handler(socketserver.BaseRequestHandler):
         except LsrpError as exc:
             self._send_error(wire.ErrorCode.BAD_REQUEST, str(exc))
             return
-        self.request.sendall(wire.encode_message(wire.Challenge(salt, b_s, sigma)))
+        wire.write_frame(self.request, wire.Challenge(salt, b_s, sigma), self._deadline)
         try:
-            confirm = wire.read_frame(self.request)
+            confirm = wire.read_frame(self.request, self._deadline, wire.TAG_LEN)
         except wire.WireError as exc:
             log.warning("bad confirm frame from %s: %s", self.client_address, exc)
             return
@@ -117,14 +118,14 @@ class _Handler(socketserver.BaseRequestHandler):
             log.info("auth failed id=%s", msg.client_id.hex())
             self._send_error(wire.ErrorCode.AUTH_FAILED, "confirmation mismatch")
             return
-        self.request.sendall(wire.encode_message(wire.ConfirmServer(m2)))
+        wire.write_frame(self.request, wire.ConfirmServer(m2), self._deadline)
         log.info("auth ok id=%s key-digest=%s", msg.client_id.hex(),
                  key_digest(session.session_key))
 
     def _send_error(self, code: wire.ErrorCode, text: str) -> None:
         try:
-            self.request.sendall(wire.encode_message(
-                wire.ErrorMessage(int(code), text.encode()[:256])))
+            wire.write_frame(self.request, wire.ErrorMessage(int(code), text.encode()[:256]),
+                             self._deadline)
         except OSError:
             pass
 

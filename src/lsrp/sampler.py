@@ -1,11 +1,18 @@
 """Seeded and fresh sampling of uniform and discrete-Gaussian matrices.
 
 All seeded randomness flows through one SHAKE-256 expander so that any
-(tag, seed) pair yields the same byte stream on every platform.  hashlib's
-SHAKE cannot extend its output, so the expander digests a prefix and
-digests again from byte 0 when a read runs past it; a caller that knows
-its draw budget passes it as `reserve`, and the stream is digested once,
-at that length.  A wrong budget costs time, never different bytes.
+(tag, seed) pair yields the same byte stream on every platform.  The
+expander squeezes a prefix of the stream and squeezes again from byte 0
+when a read runs past it; a caller that knows its draw budget passes it
+as `reserve`, and the stream is squeezed once, at that length.  A wrong
+budget costs time, never different bytes.
+
+The squeeze runs in OpenSSL's SHAKE-256 XOF, called through ctypes in the
+libcrypto that hashlib is linked against.  ctypes releases the GIL for the
+squeeze, so concurrent handshakes (the threads of `lsrp serve`, or
+several in-process callers) squeeze their streams in parallel; hashlib's
+XOF digest holds the GIL for the whole squeeze, about 1 MB per n=128
+handshake.  The short digests elsewhere (KDF, tags, seeds) stay on hashlib.
 
 Gaussian sampling is inverse-CDT on a 64-bit fixed-point cumulative table:
 the table is plain integer data, so seeded draws are bit-exact, unlike
@@ -16,10 +23,12 @@ few buckets that hold an entry (about 0.2% at tau=3) need a binary search.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import secrets
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,27 +41,80 @@ _PREFIX_BITS = 12
 _PREFIX_SHIFT = 64 - _PREFIX_BITS
 
 
+def _bind_libcrypto() -> SimpleNamespace:
+    """The SHAKE-256 calls of hashlib's libcrypto, with their signatures declared.
+
+    Only the squeeze, EVP_DigestFinalXOF, is bound through CDLL, which
+    releases the GIL.  The other calls allocate or free, and PyDLL keeps them
+    under the GIL: allocating from several threads at once made glibc's
+    malloc add ~5 MB (7%) to the peak RSS of two n=256 callers on a 2-core host.
+    """
+    c_int, c_size_t, c_void_p = ctypes.c_int, ctypes.c_size_t, ctypes.c_void_p
+    try:
+        import _hashlib
+
+        keep_gil, drop_gil = ctypes.PyDLL(_hashlib.__file__), ctypes.CDLL(_hashlib.__file__)
+        calls = SimpleNamespace()
+        for lib, name, restype, argtypes in [
+            (keep_gil, "EVP_MD_CTX_new", c_void_p, []),
+            (keep_gil, "EVP_MD_CTX_free", None, [c_void_p]),
+            (keep_gil, "EVP_shake256", c_void_p, []),
+            (keep_gil, "EVP_DigestInit_ex", c_int, [c_void_p, c_void_p, c_void_p]),
+            (keep_gil, "EVP_DigestUpdate", c_int, [c_void_p, ctypes.c_char_p, c_size_t]),
+            (drop_gil, "EVP_DigestFinalXOF", c_int, [c_void_p, c_void_p, c_size_t]),
+        ]:
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+            setattr(calls, name, fn)
+    except (ImportError, OSError, AttributeError) as exc:
+        raise ImportError("lsrp squeezes its seeded streams with OpenSSL's SHAKE-256 XOF and "
+                          f"could not bind it in the libcrypto that hashlib uses: {exc}") from exc
+    return calls
+
+
+_LIBCRYPTO = _bind_libcrypto()
+
+
+def _check(status: int, call: str) -> None:
+    if status != 1:
+        raise RuntimeError(f"OpenSSL {call} failed")
+
+
+def _shake256(prefix: bytes, length: int) -> np.ndarray:
+    """The first `length` bytes of SHAKE-256(prefix), squeezed without the GIL."""
+    out = np.empty(length, dtype=np.uint8)
+    ctx = _LIBCRYPTO.EVP_MD_CTX_new()
+    if not ctx:
+        raise MemoryError("OpenSSL EVP_MD_CTX_new failed")
+    try:
+        _check(_LIBCRYPTO.EVP_DigestInit_ex(ctx, _LIBCRYPTO.EVP_shake256(), None), "EVP_DigestInit_ex")
+        _check(_LIBCRYPTO.EVP_DigestUpdate(ctx, prefix, len(prefix)), "EVP_DigestUpdate")
+        _check(_LIBCRYPTO.EVP_DigestFinalXOF(ctx, out.ctypes.data, length), "EVP_DigestFinalXOF")
+    finally:
+        _LIBCRYPTO.EVP_MD_CTX_free(ctx)
+    return out
+
+
 class StreamExpander:
     """Unbounded deterministic byte stream from SHAKE-256(tag, seed).
 
     Single-owner: reading advances internal position.  Distinct tags give
     independent streams for the same seed.  `reserve` is the length of
-    the first digest; reads past it re-digest at double the length.
+    the first squeeze; reads past it squeeze again at double the length.
     """
 
     def __init__(self, tag: bytes, seed: bytes, reserve: int = 4096) -> None:
-        self._shake = hashlib.shake_256()
-        self._shake.update(len(tag).to_bytes(4, "big") + tag + seed)
-        self._buf = b""
+        self._prefix = len(tag).to_bytes(4, "big") + tag + seed
+        self._buf = np.empty(0, dtype=np.uint8)
         self._off = 0
         self._reserve = reserve
 
     def read(self, k: int) -> bytes:
         need = self._off + k
         if need > len(self._buf):
-            # SHAKE output is prefix-consistent, so re-digesting extends the stream
-            self._buf = self._shake.digest(max(need, 2 * len(self._buf), self._reserve))
-        out = self._buf[self._off:need]
+            # SHAKE output is prefix-consistent, so squeezing again extends the stream
+            self._buf = _shake256(self._prefix, max(need, 2 * len(self._buf), self._reserve))
+        out = self._buf[self._off:need].tobytes()
         self._off = need
         return out
 

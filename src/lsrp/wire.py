@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ HEADER_LEN = 10
 TAG_LEN = 32
 MAX_BODY = 1 << 26  # generous cap; n=1024 matrices fit with room to spare
 MAX_MATRIX_N = 4096
+MAX_ID_LEN = 1024  # allowance for the client id in max_hello_body
 
 
 class WireError(LsrpError, ValueError):
@@ -259,18 +261,47 @@ def decode_message(b: bytes) -> WireMessage:
     return _decode_body(kind, b[HEADER_LEN:])
 
 
-def read_frame(sock) -> WireMessage:
-    """Read exactly one frame from a connected socket."""
-    head = _recv_exact(sock, HEADER_LEN)
+def max_hello_body(n: int) -> int:
+    """Longest Hello body at dimension n: the id's length field and up to
+    MAX_ID_LEN id bytes, then the matrix's n and q fields and its n*n words."""
+    return 4 + MAX_ID_LEN + 12 + 4 * n * n
+
+
+def read_frame(sock, deadline: float | None = None, max_body: int = MAX_BODY) -> WireMessage:
+    """Read exactly one frame from a connected socket.
+
+    `deadline`, a time.monotonic() value, bounds the whole frame rather
+    than each recv.  A header declaring more than `max_body` body bytes is
+    refused before any body byte is read.
+    """
+    head = _recv_exact(sock, HEADER_LEN, deadline)
     kind, body_len = parse_header(head)
-    body = _recv_exact(sock, body_len)
+    if body_len > max_body:
+        raise FieldOutOfRange(f"declared body length {body_len} exceeds {max_body}")
+    body = _recv_exact(sock, body_len, deadline)
     return _decode_body(kind, body)
 
 
-def _recv_exact(sock, k: int) -> bytes:
+def write_frame(sock, w: WireMessage, deadline: float | None = None) -> None:
+    """Send one frame; `deadline` bounds the whole send, as in read_frame."""
+    _apply_deadline(sock, deadline)
+    sock.sendall(encode_message(w))
+
+
+def _apply_deadline(sock, deadline: float | None) -> None:
+    """Set the socket timeout to the time left before `deadline`, if one is given."""
+    if deadline is not None:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("connection deadline passed")
+        sock.settimeout(left)
+
+
+def _recv_exact(sock, k: int, deadline: float | None = None) -> bytes:
     chunks = []
     got = 0
     while got < k:
+        _apply_deadline(sock, deadline)
         chunk = sock.recv(k - got)
         if not chunk:
             raise TruncatedFrame(f"connection closed with {k - got} bytes outstanding")

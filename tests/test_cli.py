@@ -91,6 +91,54 @@ def test_stalled_client_is_dropped_at_the_deadline(server, toy, monkeypatch, cap
     assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
 
 
+def test_trickling_client_is_dropped_at_the_connection_deadline(server, toy, monkeypatch, caplog):
+    import logging
+    import socket
+    import time
+
+    from lsrp import wire
+    from lsrp.srp_core import ClientSession
+
+    # each byte arrives well inside TIMEOUT, so only a whole-connection deadline ends this
+    monkeypatch.setattr(cli._Handler, "TIMEOUT", 0.5)
+    cid, b_c = ClientSession(toy, b"alice", b"pw").hello()
+    frame = wire.encode_message(wire.Hello(cid, b_c))
+    with caplog.at_level(logging.WARNING, logger="lsrp"):
+        with socket.create_connection(addr(server), timeout=5) as sock:
+            sock.settimeout(0.1)
+            start = time.monotonic()
+            closed = False
+            for byte in frame[:-1]:
+                try:
+                    sock.sendall(bytes([byte]))
+                    closed = sock.recv(1) == b""
+                except socket.timeout:
+                    continue
+                except OSError:  # reset: the server closed with our bytes unread
+                    closed = True
+                if closed:
+                    break
+            elapsed = time.monotonic() - start
+    assert closed and elapsed < 0.5 + 1
+    dropped = [rec for rec in caplog.records if "dropped" in rec.getMessage()]
+    assert len(dropped) == 1 and dropped[0].levelno == logging.WARNING
+    assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
+
+
+def test_oversized_hello_is_refused_before_its_body(server, toy):
+    import socket
+
+    from lsrp import wire
+
+    head = wire.MAGIC + bytes([wire.VERSION, int(wire.Kind.HELLO)]) + (1 << 20).to_bytes(4, "big")
+    with socket.create_connection(addr(server), timeout=5) as sock:
+        sock.sendall(head)  # and no body byte
+        reply = wire.read_frame(sock)
+    assert isinstance(reply, wire.ErrorMessage) and reply.code == wire.ErrorCode.BAD_REQUEST
+    assert str(wire.max_hello_body(toy.n)).encode() in reply.text
+    assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
+
+
 def test_import_pins_openblas_threads_unless_set():
     import os
     import subprocess

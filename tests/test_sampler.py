@@ -1,4 +1,7 @@
+import hashlib
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +37,69 @@ def test_expander_reserve_gives_the_same_bytes(reserve):
         exp = StreamExpander(b"t", b"s", reserve=reserve)
         got = b"".join(exp.read(k) for k in splits)
         assert got == StreamExpander(b"t", b"s").read(sum(splits)), splits
+
+
+def _prefix(tag: bytes, seed: bytes) -> bytes:
+    return len(tag).to_bytes(4, "big") + tag + seed
+
+
+@pytest.mark.parametrize("length", [0, 1, 135, 136, 137, 4096, 3 * 8 * 128 ** 2])
+def test_expander_squeeze_equals_hashlib(length):
+    # 136 bytes is SHAKE-256's rate: one short of, exactly and one past a block
+    want = hashlib.shake_256(_prefix(b"t", b"s")).digest(length)
+    assert StreamExpander(b"t", b"s", reserve=length).read(length) == want
+    assert StreamExpander(b"t", b"s", reserve=1).read(length) == want
+
+
+@pytest.mark.parametrize("reserve", [136, 4096])
+def test_expander_splits_across_and_past_reserve_equal_hashlib(reserve):
+    want = hashlib.shake_256(_prefix(b"tag", b"seed")).digest(5 * reserve)
+    for splits in [(reserve - 3, 6), (reserve, 1), (1, reserve, 2 * reserve), (2, 5 * reserve - 2)]:
+        exp = StreamExpander(b"tag", b"seed", reserve=reserve)
+        got = [exp.read(k) for k in splits]
+        assert all(type(chunk) is bytes for chunk in got)
+        assert b"".join(got) == want[:sum(splits)], splits
+
+
+def test_expander_squeeze_releases_the_gil():
+    """A 32 MiB squeeze leaves the interpreter to other threads while it runs."""
+    started = threading.Event()
+    span: list[float] = []
+
+    def squeeze() -> None:
+        span.append(time.perf_counter())
+        started.set()
+        StreamExpander(b"gil", b"s", reserve=32 << 20).read(1)
+        span.append(time.perf_counter())
+
+    worker = threading.Thread(target=squeeze)
+    worker.start()
+    assert started.wait(timeout=30)
+    longest = 0.0
+    last = span[0]  # a squeeze holding the GIL shows as the wait before the first iteration
+    alive = True
+    while alive:  # at least one iteration, even if the worker has already finished
+        alive = worker.is_alive()
+        now = time.perf_counter()
+        longest = max(longest, now - last)
+        last = now
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(span) == 2
+    duration = span[1] - span[0]
+    assert longest < duration / 2, (longest, duration)
+
+
+def test_unresolved_libcrypto_fails_with_a_clear_import_error(monkeypatch):
+    from lsrp import sampler
+
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(sampler.ctypes, "CDLL", NoSymbols)
+    monkeypatch.setattr(sampler.ctypes, "PyDLL", NoSymbols)
+    with pytest.raises(ImportError, match="SHAKE-256"):
+        sampler._bind_libcrypto()
 
 
 def test_expander_bits():

@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -199,3 +200,67 @@ def test_read_frame_detects_early_close():
     data = wire.encode_message(wire.Hello(b"alice", M1))[:-2]
     with pytest.raises(wire.TruncatedFrame):
         wire.read_frame(FakeSocket(data))
+
+
+class SlowSocket(FakeSocket):
+    """Each recv waits `delay` seconds first; records the timeouts it is given."""
+
+    def __init__(self, data: bytes, delay: float) -> None:
+        super().__init__(data, chunk=1)
+        self.delay = delay
+        self.timeouts: list[float] = []
+
+    def settimeout(self, t: float) -> None:
+        self.timeouts.append(t)
+
+    def recv(self, k: int) -> bytes:
+        time.sleep(self.delay)
+        return super().recv(k)
+
+
+def test_read_frame_deadline_bounds_the_frame_not_each_recv():
+    data = wire.encode_message(wire.Hello(b"alice", M1))
+    sock = SlowSocket(data, delay=0.02)
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        wire.read_frame(sock, deadline=start + 0.2)
+    assert time.monotonic() - start < 0.5
+    # the timeout of each recv is the time left, so it shrinks
+    assert len(sock.timeouts) >= 3 and sock.timeouts == sorted(sock.timeouts, reverse=True)
+    assert sock.timeouts[0] <= 0.2
+    assert wire.read_frame(SlowSocket(data, delay=0), deadline=time.monotonic() + 5) \
+        == wire.Hello(b"alice", M1)
+
+
+def test_read_frame_refuses_a_body_over_max_body_before_reading_it():
+    head = wire.MAGIC + bytes([wire.VERSION, int(wire.Kind.HELLO)]) + (1 << 20).to_bytes(4, "big")
+    sock = FakeSocket(head + b"\x00" * 64)
+    with pytest.raises(wire.FieldOutOfRange):
+        wire.read_frame(sock, max_body=wire.max_hello_body(8))
+    assert len(sock.data) == 64  # no body byte was read
+
+
+def test_max_hello_body_fits_the_longest_id():
+    for n in (1, 8, 128):
+        m = ModQMatrix(n, 1153, np.zeros((n, n), dtype=np.int64))
+        frame = wire.encode_message(wire.Hello(b"x" * wire.MAX_ID_LEN, m))
+        assert len(frame) - wire.HEADER_LEN == wire.max_hello_body(n)
+
+
+def test_write_frame_refuses_a_passed_deadline():
+    sent = []
+
+    class Sink:
+        def settimeout(self, t):
+            sent.append(("timeout", t))
+
+        def sendall(self, data):
+            sent.append(("data", data))
+
+    msg = wire.ConfirmClient(b"\x00" * wire.TAG_LEN)
+    wire.write_frame(Sink(), msg, deadline=time.monotonic() + 5)
+    assert sent[0][0] == "timeout" and 0 < sent[0][1] <= 5
+    assert sent[1] == ("data", wire.encode_message(msg))
+    with pytest.raises(TimeoutError):
+        wire.write_frame(Sink(), msg, deadline=time.monotonic() - 1)
+    assert len(sent) == 2
