@@ -72,7 +72,7 @@ def parse_addr(text: str) -> tuple[str, int]:
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    # deadline for the whole connection; run_login's connect uses the same 30 s
+    # deadline for the whole connection; run_login gives each login the same
     TIMEOUT = 30.0
 
     def handle(self) -> None:
@@ -124,8 +124,8 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _send_error(self, code: wire.ErrorCode, text: str) -> None:
         try:
-            wire.write_frame(self.request, wire.ErrorMessage(int(code), text.encode()[:256]),
-                             self._deadline)
+            msg = wire.ErrorMessage(int(code), text.encode()[:wire.MAX_ERROR_TEXT])
+            wire.write_frame(self.request, msg, self._deadline)
         except OSError:
             pass
 
@@ -143,33 +143,49 @@ class LsrpServer(socketserver.ThreadingTCPServer):
 
 def run_login(p: ProtocolParams, client_id: bytes, password: bytes,
               addr: tuple[str, int]) -> tuple[int, str | None]:
-    """One login attempt; returns (exit code, session-key digest or None)."""
+    """One login attempt; returns (exit code, session-key digest or None).
+
+    The whole login, connect included, has one deadline, _Handler.TIMEOUT
+    from the start; a server that misses it counts as unreachable.  A
+    reply declaring a longer body than its kind can have at p is refused
+    with FieldOutOfRange before its body is read.
+    """
+    deadline = time.monotonic() + _Handler.TIMEOUT
     try:
-        sock = socket.create_connection(addr, timeout=30)
+        sock = socket.create_connection(addr, timeout=_Handler.TIMEOUT)
     except OSError as exc:
         log.error("cannot reach %s:%d: %s", addr[0], addr[1], exc)
         return EXIT_UNREACHABLE, None
     with sock:
-        session = ClientSession(p, client_id, password)
-        cid, b_c = session.hello()
-        sock.sendall(wire.encode_message(wire.Hello(cid, b_c)))
-        reply = wire.read_frame(sock)
-        if isinstance(reply, wire.ErrorMessage):
-            log.error("server error %d: %s", reply.code, reply.text.decode(errors="replace"))
-            return EXIT_AUTH_FAILED, None
-        if not isinstance(reply, wire.Challenge):
-            log.error("unexpected reply %s", type(reply).__name__)
-            return EXIT_ERROR, None
-        session.finish(reply.salt, reply.b_s, reply.sigma)
-        sock.sendall(wire.encode_message(wire.ConfirmClient(session.confirmation())))
-        final = wire.read_frame(sock)
-        if isinstance(final, wire.ErrorMessage):
-            log.error("authentication rejected: %s", final.text.decode(errors="replace"))
-            return EXIT_AUTH_FAILED, None
-        if not isinstance(final, wire.ConfirmServer) or not session.verify_server(final.tag):
-            log.error("server confirmation failed")
-            return EXIT_AUTH_FAILED, None
-        return EXIT_OK, key_digest(session.session_key)
+        try:
+            return _login_exchange(sock, p, client_id, password, deadline)
+        except OSError as exc:  # TimeoutError included: a stalled or vanished server
+            log.error("connection to %s:%d dropped: %s", addr[0], addr[1], exc)
+            return EXIT_UNREACHABLE, None
+
+
+def _login_exchange(sock, p: ProtocolParams, client_id: bytes, password: bytes,
+                    deadline: float) -> tuple[int, str | None]:
+    session = ClientSession(p, client_id, password)
+    cid, b_c = session.hello()
+    wire.write_frame(sock, wire.Hello(cid, b_c), deadline)
+    reply = wire.read_frame(sock, deadline, wire.max_challenge_body(p.n, p.salt_len))
+    if isinstance(reply, wire.ErrorMessage):
+        log.error("server error %d: %s", reply.code, reply.text.decode(errors="replace"))
+        return EXIT_AUTH_FAILED, None
+    if not isinstance(reply, wire.Challenge):
+        log.error("unexpected reply %s", type(reply).__name__)
+        return EXIT_ERROR, None
+    session.finish(reply.salt, reply.b_s, reply.sigma)
+    wire.write_frame(sock, wire.ConfirmClient(session.confirmation()), deadline)
+    final = wire.read_frame(sock, deadline, max(wire.TAG_LEN, wire.MAX_ERROR_BODY))
+    if isinstance(final, wire.ErrorMessage):
+        log.error("authentication rejected: %s", final.text.decode(errors="replace"))
+        return EXIT_AUTH_FAILED, None
+    if not isinstance(final, wire.ConfirmServer) or not session.verify_server(final.tag):
+        log.error("server confirmation failed")
+        return EXIT_AUTH_FAILED, None
+    return EXIT_OK, key_digest(session.session_key)
 
 
 def cmd_register(args) -> int:

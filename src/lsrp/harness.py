@@ -20,7 +20,7 @@ from .params import EvenModulus, ModulusTooSmall, ProtocolParams
 from .reconcile import extract, extract_bits, hint_bits, shift
 from .sampler import StreamExpander, gaussian_matrix_from
 from .srp_core import (ClientSession, ServerSession, VerifierRecord, client_confirmation_tag,
-                       kdf, register, shared_basis)
+                       kdf, register, shared_basis, transcript_digest)
 from . import wire
 
 DEFAULT_MASTER_SEED = b"\x00" * 32
@@ -162,13 +162,13 @@ def stolen_verifier_attempt(p: ProtocolParams, record: VerifierRecord,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     server = ServerSession(p, record, seed=exp.read(32))
-    _, b_s, sigma = server.respond(record.client_id, b_c)
+    salt, b_s, sigma = server.respond(record.client_id, b_c)
 
     # best available guess: drop the unknown verifier-secret contribution
     e_guess = gaussian_matrix_from(p, exp)
     m_guess = s_c @ (b_s - record.verifier) + e_guess.scale2()
     sk_guess = kdf(extract(m_guess, sigma), p.lambda_seed)
-    m1 = client_confirmation_tag(b_c, b_s, sk_guess)
+    m1 = client_confirmation_tag(transcript_digest(record.client_id, salt, b_c, b_s), sk_guess)
     try:
         server.verify_client(m1)
     except VerificationFailed:

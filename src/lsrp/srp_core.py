@@ -16,7 +16,18 @@ signal/extractor reconciliation needs.
 
 Key confirmation (client tag then server tag) is an extension over the
 bare key exchange: without it the server never learns whether the
-authentication succeeded.
+authentication succeeded.  As SRP's M1/M2 (RFC 2945) and TLS 1.3's
+Finished, the tags are computed over a transcript hash, which each party
+computes once per handshake:
+
+    T  = SHAKE-256("LSRP-transcript" | lp(id) | lp(salt) | enc(B_C) | enc(B_S))[:32]
+    M1 = SHAKE-256("LSRP-m1" | T | sk)[:32]          (client tag)
+    M2 = SHAKE-256("LSRP-m2" | T | M1 | sk)[:32]     (server tag)
+
+lp() prefixes a 4-byte big-endian length and enc() is wire.encode_matrix.
+These tags came with wire.VERSION 2: a version-1 peer is refused at the
+frame header, and credential stores written by version 1 must be
+re-registered.
 """
 from __future__ import annotations
 
@@ -32,9 +43,11 @@ from .params import ProtocolParams
 from .reconcile import KeyBits, SignalMatrix, extract, signal
 from .sampler import (StreamExpander, derive_registration_seed, fresh_salt, gaussian_matrix_bytes,
                       gaussian_matrix_from, uniform_matrix)
+from .wire import matrix_fields
 
 SESSION_KEY_LEN = 32
 TAG_LEN = 32
+TRANSCRIPT_LEN = 32
 
 
 class UnknownId(LsrpError, KeyError):
@@ -128,19 +141,31 @@ def kdf(k: KeyBits, lambda_seed: bytes) -> bytes:
     return shake.digest(SESSION_KEY_LEN)
 
 
-def client_confirmation_tag(b_c: ModQMatrix, b_s: ModQMatrix, sk: bytes) -> bytes:
-    from .wire import encode_matrix
+def transcript_digest(client_id: bytes, salt: bytes, b_c: ModQMatrix, b_s: ModQMatrix) -> bytes:
+    """32-byte hash of the exchanged values that the confirmation tags bind.
 
+    The matrices are hashed from the buffers wire.encode_matrix joins,
+    without joining them; the digest equals hashing the encoded bytes.
+    """
+    shake = hashlib.shake_256(b"LSRP-transcript")
+    for field in (client_id, salt):
+        shake.update(len(field).to_bytes(4, "big"))
+        shake.update(field)
+    for m in (b_c, b_s):
+        for part in matrix_fields(m):
+            shake.update(part)
+    return shake.digest(TRANSCRIPT_LEN)
+
+
+def client_confirmation_tag(transcript: bytes, sk: bytes) -> bytes:
     shake = hashlib.shake_256()
-    shake.update(b"LSRP-m1" + encode_matrix(b_c) + encode_matrix(b_s) + sk)
+    shake.update(b"LSRP-m1" + transcript + sk)
     return shake.digest(TAG_LEN)
 
 
-def server_confirmation_tag(b_c: ModQMatrix, m1: bytes, sk: bytes) -> bytes:
-    from .wire import encode_matrix
-
+def server_confirmation_tag(transcript: bytes, m1: bytes, sk: bytes) -> bytes:
     shake = hashlib.shake_256()
-    shake.update(b"LSRP-m2" + encode_matrix(b_c) + m1 + sk)
+    shake.update(b"LSRP-m2" + transcript + m1 + sk)
     return shake.digest(TAG_LEN)
 
 
@@ -188,6 +213,7 @@ class ClientSession:
         self.e_c: ModQMatrix | None = None
         self.b_c: ModQMatrix | None = None
         self.b_s: ModQMatrix | None = None
+        self.transcript: bytes | None = None
         self.session_key: bytes | None = None
         self.key_material: ModQMatrix | None = None
 
@@ -220,6 +246,7 @@ class ClientSession:
             self.key_material = m_c
         self.b_s = b_s
         self._clear_secrets()
+        self.transcript = transcript_digest(self.client_id, salt, self.b_c, b_s)
         self.state = ClientState.COMPLETE
         return self.session_key
 
@@ -227,19 +254,20 @@ class ClientSession:
         """Client tag proving key possession, sent to the server."""
         if self.state is not ClientState.COMPLETE:
             raise InvalidState(f"confirmation in state {self.state}")
-        return client_confirmation_tag(self.b_c, self.b_s, self.session_key)
+        return client_confirmation_tag(self.transcript, self.session_key)
 
     def verify_server(self, m2: bytes) -> bool:
         """Check the server's tag against the client's own transcript."""
         if self.state is not ClientState.COMPLETE:
             raise InvalidState(f"verify_server in state {self.state}")
-        expected = server_confirmation_tag(self.b_c, self.confirmation(), self.session_key)
+        expected = server_confirmation_tag(self.transcript, self.confirmation(), self.session_key)
         ok = verify_confirmation(expected, m2)
         if not ok:
             self.state = ClientState.FAILED
         return ok
 
     def _clear_secrets(self) -> None:
+        self._exp = None  # its seed and squeezed bytes determine S_C, E_C and E_C'
         self.s_c = None
         self.e_c = None
         self.password = None
@@ -292,7 +320,9 @@ class ServerSession:
         self.session_key = kdf(extract(m_s, self.sigma), p.lambda_seed)
         if self.keep_material:
             self.key_material = m_s
-        # ephemerals are not needed past this point; drop them early
+        # ephemerals and the stream they came from are not needed past this point;
+        # drop them early
+        self._exp = None
         self.s_s = None
         self.e_s = None
         self.e_s_prime = None
@@ -306,12 +336,14 @@ class ServerSession:
         """
         if self.state is not ServerState.RESPONDED:
             raise InvalidState(f"verify_client in state {self.state}")
-        expected = client_confirmation_tag(self.b_c, self.b_s, self.session_key)
+        # hashed here rather than in respond, which holds the handshake's largest working set
+        transcript = transcript_digest(self.record.client_id, self.record.salt, self.b_c, self.b_s)
+        expected = client_confirmation_tag(transcript, self.session_key)
         if not verify_confirmation(expected, m1):
             self._fail()
             raise VerificationFailed("client confirmation tag mismatch")
         self.state = ServerState.COMPLETE
-        return server_confirmation_tag(self.b_c, m1, self.session_key)
+        return server_confirmation_tag(transcript, m1, self.session_key)
 
     def _fail(self) -> None:
         self.s_s = None

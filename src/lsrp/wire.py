@@ -1,7 +1,9 @@
 """Bit-exact framing and serialization for protocol messages.
 
-Frame layout: magic "LSRP", version byte 0x01, kind byte, 4-byte
-big-endian body length, body.  All integers are big-endian; bit matrices
+Frame layout: magic "LSRP", version byte 0x02, kind byte, 4-byte
+big-endian body length, body.  Version 2 changed the confirmation tags
+(see srp_core); a version-1 frame is refused with UnsupportedVersion.
+All integers are big-endian; bit matrices
 pack row-major, MSB first.  Matrix entries are fixed 4-byte words
 regardless of q: wasteful for small q but one canonical encoding keeps
 cross-implementation vectors trivial.  A frame declaring q >= 2^32 is
@@ -24,12 +26,14 @@ from .modq import Q_LIMIT, ModQMatrix
 from .reconcile import SignalMatrix
 
 MAGIC = b"LSRP"
-VERSION = 1
+VERSION = 2
 HEADER_LEN = 10
 TAG_LEN = 32
 MAX_BODY = 1 << 26  # generous cap; n=1024 matrices fit with room to spare
 MAX_MATRIX_N = 4096
 MAX_ID_LEN = 1024  # allowance for the client id in max_hello_body
+MAX_ERROR_TEXT = 256  # longest error text a server sends
+MAX_ERROR_BODY = 1 + 4 + MAX_ERROR_TEXT  # code, text length field, text
 
 
 class WireError(LsrpError, ValueError):
@@ -114,10 +118,16 @@ class ErrorMessage:
 WireMessage = Register | Hello | Challenge | ConfirmClient | ConfirmServer | ErrorMessage
 
 
+def matrix_fields(m: ModQMatrix) -> tuple[bytes, np.ndarray]:
+    """The encoding of m in two buffers, joined by encode_matrix: the
+    4-byte n and 8-byte q, then the n*n entries as big-endian 4-byte words."""
+    return struct.pack(">IQ", m.n, m.q), m.entries.astype(">u4")
+
+
 def encode_matrix(m: ModQMatrix) -> bytes:
     """4-byte n, 8-byte q, then n*n entries as 4-byte words, row-major."""
-    head = struct.pack(">IQ", m.n, m.q)
-    return head + m.entries.astype(">u4").tobytes()
+    head, entries = matrix_fields(m)
+    return head + entries.tobytes()
 
 
 def encode_signal(s: SignalMatrix) -> bytes:
@@ -241,7 +251,7 @@ def parse_header(head: bytes) -> tuple[Kind, int]:
     if head[:4] != MAGIC:
         raise BadMagic(repr(head[:4]))
     if head[4] != VERSION:
-        raise UnsupportedVersion(str(head[4]))
+        raise UnsupportedVersion(f"protocol version {head[4]}, expected {VERSION}")
     try:
         kind = Kind(head[5])
     except ValueError as exc:
@@ -265,6 +275,14 @@ def max_hello_body(n: int) -> int:
     """Longest Hello body at dimension n: the id's length field and up to
     MAX_ID_LEN id bytes, then the matrix's n and q fields and its n*n words."""
     return 4 + MAX_ID_LEN + 12 + 4 * n * n
+
+
+def max_challenge_body(n: int, salt_len: int) -> int:
+    """Longest body a client accepts in answer to its Hello: the Challenge at
+    dimension n (salt with its length field, matrix, n and packed signal bits),
+    or an ErrorMessage carrying up to MAX_ERROR_TEXT bytes."""
+    challenge = 4 + salt_len + 12 + 4 * n * n + 4 + (n * n + 7) // 8
+    return max(challenge, MAX_ERROR_BODY)
 
 
 def read_frame(sock, deadline: float | None = None, max_body: int = MAX_BODY) -> WireMessage:

@@ -165,7 +165,7 @@ def test_criterion_10_wire_robustness():
         size = int(rng.integers(0, 64 * 1024)) if i % 100 == 0 else int(rng.integers(0, 128))
         blob = rng.integers(0, 256, size=size).astype(np.uint8).tobytes()
         if i % 3 == 0:
-            blob = b"LSRP\x01" + blob  # force past the magic/version checks
+            blob = wire.MAGIC + bytes([wire.VERSION]) + blob  # force past the magic/version checks
         try:
             wire.decode_message(blob)
         except wire.WireError:

@@ -139,6 +139,75 @@ def test_oversized_hello_is_refused_before_its_body(server, toy):
     assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
 
 
+def scratch_server(reply):
+    """A one-connection server that reads the client's Hello, then calls reply(conn)."""
+    import socket
+
+    from lsrp import wire
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                wire.read_frame(conn)
+                reply(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[:2], thread
+
+
+def test_trickling_server_is_dropped_at_the_login_deadline(toy, monkeypatch, caplog):
+    import logging
+    import time
+
+    from lsrp import wire
+
+    def trickle(conn):
+        body_len = wire.max_challenge_body(toy.n, toy.salt_len)
+        conn.sendall(wire.MAGIC + bytes([wire.VERSION, int(wire.Kind.CHALLENGE)])
+                     + body_len.to_bytes(4, "big"))
+        try:
+            for _ in range(body_len):  # one byte per 0.1 s, until the client hangs up
+                conn.sendall(b"\x00")
+                time.sleep(0.1)
+        except OSError:
+            pass
+
+    # each byte arrives well inside TIMEOUT, so only a whole-login deadline ends this
+    monkeypatch.setattr(cli._Handler, "TIMEOUT", 0.5)
+    address, thread = scratch_server(trickle)
+    start = time.monotonic()
+    with caplog.at_level(logging.ERROR, logger="lsrp"):
+        code, digest = cli.run_login(toy, b"alice", b"pw", address)
+    elapsed = time.monotonic() - start
+    assert code == cli.EXIT_UNREACHABLE and digest is None
+    assert elapsed < 0.5 + 1
+    assert any("dropped" in rec.getMessage() for rec in caplog.records)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_oversized_challenge_is_refused_before_its_body(toy):
+    from lsrp import wire
+
+    def oversized(conn):
+        conn.sendall(wire.MAGIC + bytes([wire.VERSION, int(wire.Kind.CHALLENGE)])
+                     + (1 << 20).to_bytes(4, "big"))  # and no body byte
+        conn.recv(1)  # until the client closes
+
+    address, thread = scratch_server(oversized)
+    limit = wire.max_challenge_body(toy.n, toy.salt_len)
+    # reading the body would wait out the 30 s deadline and return EXIT_UNREACHABLE
+    with pytest.raises(wire.FieldOutOfRange, match=str(limit)):
+        cli.run_login(toy, b"alice", b"pw", address)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 def test_import_pins_openblas_threads_unless_set():
     import os
     import subprocess

@@ -79,6 +79,15 @@ def test_parameter_mismatch_rejected(store, toy):
         CredentialStore.open(store.path, other)
 
 
+def test_version_1_store_refused(store, toy):
+    store.put(register(toy, b"alice", b"pw", salt=SALT))
+    with open(store.path, "r+b") as fh:
+        fh.seek(4)
+        fh.write(b"\x01")  # the version byte of the first frame
+    with pytest.raises(CorruptRecord, match="version 1"):
+        CredentialStore.open(store.path, toy)
+
+
 def test_password_never_written_to_disk(store, toy):
     password = b"hunter2-very-secret"
     store.put(register(toy, b"alice", password, salt=SALT))

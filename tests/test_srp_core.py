@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
+import sys
 
 import pytest
 
+from lsrp import srp_core, wire
 from lsrp.errors import EmptyField, InvalidState, VerificationFailed
 from lsrp.harness import run_handshake
 from lsrp.modq import ModQMatrix
@@ -12,7 +15,7 @@ from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerStat
                            client_confirmation_tag, client_key_material, compute_verifier,
                            decoy_record, kdf, register, registration_matrices,
                            server_confirmation_tag, server_key_material, shared_basis,
-                           verify_confirmation)
+                           transcript_digest, verify_confirmation)
 
 LAMBDA = b"\x01" * 32
 SALT = b"\x00" * 16
@@ -194,6 +197,7 @@ def test_secret_hygiene_after_completion(toy):
     assert ok
     assert c.s_c is None and c.e_c is None and c.password is None
     assert s.s_s is None and s.e_s is None and s.e_s_prime is None
+    assert c._exp is None and s._exp is None  # the seeded streams the ephemerals came from
 
 
 def test_failed_server_session_drops_key(toy):
@@ -224,8 +228,9 @@ def test_confirmation_round_trip(toy):
     c, s, ok = run_handshake(toy, rec, b"alice", b"pw",
                              client_seed=b"\x08" * 32, server_seed=b"\x09" * 32)
     assert ok
+    assert c.transcript == transcript_digest(b"alice", SALT, c.b_c, c.b_s)
     m1 = c.confirmation()
-    assert verify_confirmation(client_confirmation_tag(c.b_c, c.b_s, s.session_key), m1)
+    assert verify_confirmation(client_confirmation_tag(c.transcript, s.session_key), m1)
 
 
 def test_confirmation_detects_transcript_tamper(toy):
@@ -233,11 +238,68 @@ def test_confirmation_detects_transcript_tamper(toy):
     c, s, ok = run_handshake(toy, rec, b"alice", b"pw",
                              client_seed=b"\x0a" * 32, server_seed=b"\x0b" * 32)
     tampered = ModQMatrix(toy.n, toy.q, (c.b_s.entries + 1) % toy.q)
-    assert client_confirmation_tag(c.b_c, tampered, c.session_key) != c.confirmation()
+    forged = transcript_digest(b"alice", SALT, c.b_c, tampered)
+    assert client_confirmation_tag(forged, c.session_key) != c.confirmation()
     m1 = c.confirmation()
-    m2 = server_confirmation_tag(c.b_c, m1, s.session_key)
+    m2 = server_confirmation_tag(c.transcript, m1, s.session_key)
     assert not verify_confirmation(m2, bytes([m2[0] ^ 1]) + m2[1:])
     assert verify_confirmation(m2, m2)
+
+
+def test_transcript_digest_hashes_the_encoded_fields(toy):
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    c, _, _ = run_handshake(toy, rec, b"alice", b"pw",
+                            client_seed=b"\x10" * 32, server_seed=b"\x11" * 32)
+    joined = (b"LSRP-transcript" + b"\x00\x00\x00\x05alice" + b"\x00\x00\x00\x10" + SALT
+              + wire.encode_matrix(c.b_c) + wire.encode_matrix(c.b_s))
+    assert c.transcript == hashlib.shake_256(joined).digest(32)
+
+
+def test_transcript_binds_id_salt_and_both_matrices(toy):
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    c, _, ok = run_handshake(toy, rec, b"alice", b"pw",
+                             client_seed=b"\x12" * 32, server_seed=b"\x13" * 32)
+    assert ok
+
+    def bumped(m):
+        return ModQMatrix(m.n, m.q, (m.entries + 1) % m.q)
+
+    fields = (b"alice", SALT, c.b_c, c.b_s)
+    altered = [(b"alicf", SALT, c.b_c, c.b_s),
+               (b"alice", b"\x01" + SALT[1:], c.b_c, c.b_s),
+               (b"alice", SALT, bumped(c.b_c), c.b_s),
+               (b"alice", SALT, c.b_c, bumped(c.b_s)),
+               # the length prefixes keep the id/salt boundary fixed
+               (b"alice" + SALT[:1], SALT[1:], c.b_c, c.b_s)]
+    assert transcript_digest(*fields) == c.transcript
+    m1 = client_confirmation_tag(c.transcript, c.session_key)
+    for args in altered:
+        t = transcript_digest(*args)
+        assert t != c.transcript
+        assert client_confirmation_tag(t, c.session_key) != m1
+
+
+def test_handshake_hashes_its_transcript_once_per_party(toy, monkeypatch):
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    digest_callers = []
+    tag_callers = []
+
+    def counted(fn, callers):
+        def wrapper(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(srp_core, "transcript_digest", counted(transcript_digest, digest_callers))
+    for fn in (client_confirmation_tag, server_confirmation_tag):
+        monkeypatch.setattr(srp_core, fn.__name__, counted(fn, tag_callers))
+    _, _, ok = run_handshake(toy, rec, b"alice", b"pw",
+                             client_seed=b"\x14" * 32, server_seed=b"\x15" * 32)
+    assert ok
+    # ClientSession.finish and ServerSession.verify_client
+    assert digest_callers == ["finish", "verify_client"]
+    # verify_server computes the client's tag again through confirmation()
+    assert sorted(tag_callers) == ["confirmation"] * 2 + ["verify_client"] * 2 + ["verify_server"]
 
 
 def test_tags_from_independent_sessions_differ(toy):

@@ -27,7 +27,7 @@ def test_signal_layout_example():
 def test_frame_header_layout():
     frame = wire.encode_message(wire.Hello(b"a", M1))
     assert frame[:4] == b"LSRP"
-    assert frame[4] == 1
+    assert frame[4] == wire.VERSION == 2
     assert frame[5] == int(wire.Kind.HELLO)
     assert struct.unpack(">I", frame[6:10])[0] == len(frame) - wire.HEADER_LEN
 
@@ -66,7 +66,7 @@ def test_round_trip_empty_id_and_text():
 
 # --- typed decode errors ---------------------------------------------------
 
-def frame_with(kind: int, body: bytes, magic: bytes = b"LSRP", version: int = 1) -> bytes:
+def frame_with(kind: int, body: bytes, magic: bytes = b"LSRP", version: int = wire.VERSION) -> bytes:
     return magic + bytes([version, kind]) + struct.pack(">I", len(body)) + body
 
 
@@ -78,6 +78,14 @@ def test_bad_magic():
 def test_unsupported_version():
     with pytest.raises(wire.UnsupportedVersion):
         wire.decode_message(frame_with(2, b"", version=9))
+
+
+def test_version_1_frame_refused():
+    # version 1 computed the confirmation tags over the full matrices
+    v1 = wire.encode_message(wire.ConfirmClient(bytes(32)))
+    v1 = v1[:4] + b"\x01" + v1[5:]
+    with pytest.raises(wire.UnsupportedVersion, match="version 1"):
+        wire.decode_message(v1)
 
 
 def test_unknown_kind():
@@ -147,7 +155,7 @@ def test_confirm_tag_must_be_32_bytes():
 
 
 def test_declared_body_length_cap():
-    head = b"LSRP\x01\x02" + struct.pack(">I", wire.MAX_BODY + 1)
+    head = wire.MAGIC + bytes([wire.VERSION]) + b"\x02" + struct.pack(">I", wire.MAX_BODY + 1)
     with pytest.raises(wire.FieldOutOfRange):
         wire.parse_header(head)
 
@@ -245,6 +253,15 @@ def test_max_hello_body_fits_the_longest_id():
         m = ModQMatrix(n, 1153, np.zeros((n, n), dtype=np.int64))
         frame = wire.encode_message(wire.Hello(b"x" * wire.MAX_ID_LEN, m))
         assert len(frame) - wire.HEADER_LEN == wire.max_hello_body(n)
+
+
+def test_max_challenge_body_fits_a_challenge_or_the_longest_error():
+    error = len(wire.encode_message(wire.ErrorMessage(1, b"e" * wire.MAX_ERROR_TEXT)))
+    for n, salt_len in [(1, 1), (8, 16), (128, 16)]:
+        m = ModQMatrix(n, 1153, np.zeros((n, n), dtype=np.int64))
+        sig = SignalMatrix(n, np.ones((n, n), dtype=np.uint8))
+        frame = wire.encode_message(wire.Challenge(b"s" * salt_len, m, sig))
+        assert wire.max_challenge_body(n, salt_len) == max(len(frame), error) - wire.HEADER_LEN
 
 
 def test_write_frame_refuses_a_passed_deadline():
