@@ -15,7 +15,7 @@ import time
 from .credstore import CredentialStore
 from .errors import LsrpError, VerificationFailed
 from .harness import lemma_violations, simulate
-from .params import ProtocolParams, params_from_config
+from .params import ParamError, ProtocolParams, params_from_config
 from .regev import default_regev_params, round_trip_accuracy
 from .srp_core import ClientSession, ServerSession, decoy_record, register
 from . import wire
@@ -43,13 +43,23 @@ def load_params(args) -> ProtocolParams:
         "tau": args.tau,
         "tail_cutoff": args.tail_cutoff,
         "salt_len": args.salt_len,
-        "lambda_seed": bytes.fromhex(args.lambda_seed) if args.lambda_seed else None,
+        "lambda_seed": parse_hex(args.lambda_seed, "--lambda-seed"),
     }
     text = ""
     if args.config:
         with open(args.config) as fh:
             text = fh.read()
     return params_from_config(text, overrides, allow_unsafe=args.unsafe_params)
+
+
+def parse_hex(text: str | None, flag: str) -> bytes | None:
+    """The bytes a hex flag value spells, or None if the flag was not given."""
+    if not text:
+        return None
+    try:
+        return bytes.fromhex(text)
+    except ValueError as exc:
+        raise ParamError(f"{flag}: bad hex {text!r}") from exc
 
 
 def read_password(args) -> bytes:
@@ -68,6 +78,8 @@ def store_path(args) -> str:
 
 def parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
+    if not port.isdigit():
+        raise LsrpError(f"bad address {text!r}: expected [host:]port")
     return host or "127.0.0.1", int(port)
 
 
@@ -192,7 +204,7 @@ def cmd_register(args) -> int:
     p = load_params(args)
     password = read_password(args)
     record = register(p, args.id.encode(), password)
-    store = CredentialStore.open(store_path(args), p, recover=False)
+    store = CredentialStore.open(store_path(args), p)
     store.put(record)
     print(f"registered id={args.id} salt={record.salt.hex()} "
           f"verifier-digest={matrix_digest(record.verifier)}")
@@ -225,7 +237,7 @@ def cmd_login(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = load_params(args)
-    seed = bytes.fromhex(args.seed) if args.seed else None
+    seed = parse_hex(args.seed, "--seed")
     report = simulate(p, args.trials, instrument=args.instrument,
                       wrong_password=args.wrong_password, master_seed=seed)
     print(report.render())
@@ -240,7 +252,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_regev(args) -> int:
     rp = default_regev_params()
-    seed = bytes.fromhex(args.seed) if args.seed else None
+    seed = parse_hex(args.seed, "--seed")
     acc = round_trip_accuracy(rp, args.trials, seed=seed)
     print(f"n={rp.n} m={rp.m} p={rp.p} trials={args.trials} accuracy={acc:.4f}")
     return EXIT_OK if acc >= 0.99 else EXIT_ERROR

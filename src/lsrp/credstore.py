@@ -1,7 +1,7 @@
 """Persistent credential storage: an append-only log of Register frames.
 
-Reusing the wire codec for the on-disk format gives crash recovery for
-free: a valid prefix of the file is always loadable, and a torn final
+Reusing the wire codec for the on-disk format makes a crash cheap to
+survive: a valid prefix of the file is always loadable, and a torn final
 write is detected as a corrupt tail.  Re-registration appends; the
 in-memory index keeps the latest record per id.
 """
@@ -23,8 +23,7 @@ class IoFailure(LsrpError, OSError):
 class CorruptRecord(LsrpError, ValueError):
     """Raised on load when the log has a malformed tail.
 
-    The `store` attribute carries the records recovered from the valid
-    prefix.
+    The `store` attribute carries the records of the valid prefix.
     """
 
     def __init__(self, message: str, store: "CredentialStore") -> None:
@@ -39,12 +38,11 @@ class CredentialStore:
     _index: dict
 
     @classmethod
-    def open(cls, path: str, params: ProtocolParams, recover: bool = False) -> "CredentialStore":
+    def open(cls, path: str, params: ProtocolParams) -> "CredentialStore":
         """Load the store, creating an empty one if the file does not exist.
 
-        A corrupt tail raises CorruptRecord (carrying the recovered
-        prefix) unless recover=True, in which case the valid prefix is
-        returned directly.
+        A corrupt tail raises CorruptRecord, whose `store` holds the
+        records of the valid prefix.
         """
         store = cls(path=path, params=params, _index={})
         try:
@@ -58,26 +56,15 @@ class CredentialStore:
         off = 0
         while off < len(data):
             try:
-                kind, body_len = wire.parse_header(data[off:off + wire.HEADER_LEN])
+                _, body_len = wire.parse_header(data[off:off + wire.HEADER_LEN])
                 end = off + wire.HEADER_LEN + body_len
-                if end > len(data):
-                    raise wire.TruncatedFrame("record extends past end of file")
                 msg = wire.decode_message(data[off:end])
             except wire.WireError as exc:
-                err = CorruptRecord(f"corrupt record at offset {off}: {exc}", store)
-                if recover:
-                    return store
-                raise err from exc
+                raise CorruptRecord(f"corrupt record at offset {off}: {exc}", store) from exc
             if not isinstance(msg, wire.Register):
-                err = CorruptRecord(f"non-register frame at offset {off}", store)
-                if recover:
-                    return store
-                raise err
+                raise CorruptRecord(f"non-register frame at offset {off}", store)
             if msg.verifier.n != params.n or msg.verifier.q != params.q:
-                err = CorruptRecord(f"record at offset {off} does not match store parameters", store)
-                if recover:
-                    return store
-                raise err
+                raise CorruptRecord(f"record at offset {off} does not match store parameters", store)
             store._index[msg.client_id] = VerifierRecord(msg.client_id, msg.salt, msg.verifier)
             off = end
         return store

@@ -124,15 +124,11 @@ def parse_config(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ParamError(f"config line {lineno}: unknown key {key!r}")
-        if key == "lambda_seed":
-            try:
-                out[key] = bytes.fromhex(value)
-            except ValueError as exc:
-                raise ParamError(f"config line {lineno}: bad hex for lambda_seed") from exc
-        elif key == "tau":
-            out[key] = float(value)
-        else:
-            out[key] = int(value)
+        convert = {"lambda_seed": bytes.fromhex, "tau": float}.get(key, int)
+        try:
+            out[key] = convert(value)
+        except ValueError as exc:
+            raise ParamError(f"config line {lineno}: bad value {value!r} for {key}") from exc
     return out
 
 

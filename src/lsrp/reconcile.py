@@ -13,7 +13,6 @@ wrap of the canonical range.
 """
 from __future__ import annotations
 
-import secrets
 from typing import Callable
 
 import numpy as np
@@ -89,19 +88,13 @@ def extract_bits(x: np.ndarray, sigma, q: int) -> np.ndarray:
     return (shift(x, sigma, q) & 1).astype(np.uint8)
 
 
-def _fresh_bits(count: int) -> np.ndarray:
-    raw = np.frombuffer(secrets.token_bytes((count + 7) // 8), dtype=np.uint8)
-    return np.unpackbits(raw)[:count]
+def signal(m: ModQMatrix, bit_source: Callable[[int], np.ndarray]) -> SignalMatrix:
+    """Entrywise randomized signal: one variant bit per entry, row-major.
 
-
-def signal(m: ModQMatrix, bit_source: Callable[[int], np.ndarray] | None = None) -> SignalMatrix:
-    """Entrywise randomized signal: an independent fresh variant bit per entry.
-
-    bit_source(k) must return k bits; defaults to OS entropy.  A seeded
-    source makes the output deterministic.
+    bit_source(k) must return k bits.  The protocol passes the server's
+    seeded stream, so the signal is deterministic in the session seed.
     """
-    src = bit_source if bit_source is not None else _fresh_bits
-    variants = np.asarray(src(m.n * m.n), dtype=np.uint8).reshape(m.n, m.n)
+    variants = np.asarray(bit_source(m.n * m.n), dtype=np.uint8).reshape(m.n, m.n)
     return SignalMatrix(m.n, hint_bits(m.entries, variants, m.q))
 
 

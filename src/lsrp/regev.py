@@ -105,16 +105,13 @@ def regev_keygen(rp: RegevParams, seed: bytes | None = None) -> RegevKeys:
     return RegevKeys(params=rp, secret=secret, pub_a=pub_a, pub_b=pub_b, noise=noise)
 
 
-def regev_encrypt(keys: RegevKeys, bit: int, seed: bytes | None = None,
-                  subset: np.ndarray | None = None) -> RegevCiphertext:
-    """Encrypt one bit; a subset indicator vector may be injected for tests."""
+def regev_encrypt(keys: RegevKeys, bit: int, subset: np.ndarray) -> RegevCiphertext:
+    """Encrypt one bit over the rows that the 0/1 indicator vector `subset` selects."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     rp = keys.params
-    if subset is None:
-        subset = _expander(seed, b"LSRP-regev-enc").read_bits(rp.m)
     mask = np.asarray(subset, dtype=bool)
-    a = keys.pub_a[mask].sum(axis=0) % rp.p if mask.any() else np.zeros(rp.n, dtype=np.int64)
+    a = keys.pub_a[mask].sum(axis=0) % rp.p
     b = (int(keys.pub_b[mask].sum()) + bit * (rp.p // 2)) % rp.p
     return RegevCiphertext(a=a.astype(np.int64), b=b)
 

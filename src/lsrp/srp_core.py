@@ -43,10 +43,9 @@ from .params import ProtocolParams
 from .reconcile import KeyBits, SignalMatrix, extract, signal
 from .sampler import (StreamExpander, derive_registration_seed, fresh_salt, gaussian_matrix_bytes,
                       gaussian_matrix_from, uniform_matrix)
-from .wire import matrix_fields
+from .wire import TAG_LEN, matrix_fields
 
 SESSION_KEY_LEN = 32
-TAG_LEN = 32
 TRANSCRIPT_LEN = 32
 
 
@@ -169,10 +168,6 @@ def server_confirmation_tag(transcript: bytes, m1: bytes, sk: bytes) -> bytes:
     return shake.digest(TAG_LEN)
 
 
-def verify_confirmation(expected: bytes, received: bytes) -> bool:
-    return hmac.compare_digest(expected, received)
-
-
 class ClientState(enum.Enum):
     INIT = "init"
     HELLO_SENT = "hello_sent"
@@ -210,7 +205,6 @@ class ClientSession:
         self._exp = StreamExpander(b"LSRP-client", seed if seed is not None else secrets.token_bytes(32),
                                    reserve=3 * gaussian_matrix_bytes(p))
         self.s_c: ModQMatrix | None = None
-        self.e_c: ModQMatrix | None = None
         self.b_c: ModQMatrix | None = None
         self.b_s: ModQMatrix | None = None
         self.transcript: bytes | None = None
@@ -223,8 +217,8 @@ class ClientSession:
             raise InvalidState(f"hello in state {self.state}")
         p = self.params
         self.s_c = gaussian_matrix_from(p, self._exp)
-        self.e_c = gaussian_matrix_from(p, self._exp)
-        self.b_c = self.s_c @ shared_basis(p) + self.e_c.scale2()
+        e_c = gaussian_matrix_from(p, self._exp)
+        self.b_c = self.s_c @ shared_basis(p) + e_c.scale2()
         self.state = ClientState.HELLO_SENT
         return self.client_id, self.b_c
 
@@ -233,9 +227,9 @@ class ClientSession:
         if self.state is not ClientState.HELLO_SENT:
             raise InvalidState(f"finish in state {self.state}")
         p = self.params
-        if b_s.n != p.n or sigma.n != p.n:
+        if b_s.n != p.n or b_s.q != p.q or sigma.n != p.n:
             self._fail()
-            raise DimensionMismatch("challenge dimensions do not match parameters")
+            raise DimensionMismatch("challenge matrices do not match parameters")
         gamma = derive_registration_seed(self.client_id, salt, self.password)
         s_i, e_i = registration_matrices(p, gamma)
         v = compute_verifier(shared_basis(p), s_i, e_i)
@@ -261,7 +255,7 @@ class ClientSession:
         if self.state is not ClientState.COMPLETE:
             raise InvalidState(f"verify_server in state {self.state}")
         expected = server_confirmation_tag(self.transcript, self.confirmation(), self.session_key)
-        ok = verify_confirmation(expected, m2)
+        ok = hmac.compare_digest(expected, m2)
         if not ok:
             self.state = ClientState.FAILED
         return ok
@@ -269,7 +263,6 @@ class ClientSession:
     def _clear_secrets(self) -> None:
         self._exp = None  # its seed and squeezed bytes determine S_C, E_C and E_C'
         self.s_c = None
-        self.e_c = None
         self.password = None
 
     def _fail(self) -> None:
@@ -290,9 +283,6 @@ class ServerSession:
         # draw budget: S_S, E_S, E_S' and one signal variant bit per entry
         self._exp = StreamExpander(b"LSRP-server", seed if seed is not None else secrets.token_bytes(32),
                                    reserve=3 * gaussian_matrix_bytes(p) + (p.n * p.n + 7) // 8)
-        self.s_s: ModQMatrix | None = None
-        self.e_s: ModQMatrix | None = None
-        self.e_s_prime: ModQMatrix | None = None
         self.b_c: ModQMatrix | None = None
         self.b_s: ModQMatrix | None = None
         self.sigma: SignalMatrix | None = None
@@ -310,22 +300,17 @@ class ServerSession:
             self._fail()
             raise DimensionMismatch("hello matrix does not match parameters")
         v = self.record.verifier
-        self.s_s = gaussian_matrix_from(p, self._exp)
-        self.e_s = gaussian_matrix_from(p, self._exp)
-        self.e_s_prime = gaussian_matrix_from(p, self._exp)
+        s_s = gaussian_matrix_from(p, self._exp)
+        e_s = gaussian_matrix_from(p, self._exp)
+        e_s_prime = gaussian_matrix_from(p, self._exp)
         self.b_c = b_c
-        self.b_s = v + shared_basis(p) @ self.s_s + self.e_s.scale2()
-        m_s = server_key_material(v, b_c, self.s_s, self.e_s_prime)
+        self.b_s = v + shared_basis(p) @ s_s + e_s.scale2()
+        m_s = server_key_material(v, b_c, s_s, e_s_prime)
         self.sigma = signal(m_s, self._exp.read_bits)
         self.session_key = kdf(extract(m_s, self.sigma), p.lambda_seed)
         if self.keep_material:
             self.key_material = m_s
-        # ephemerals and the stream they came from are not needed past this point;
-        # drop them early
-        self._exp = None
-        self.s_s = None
-        self.e_s = None
-        self.e_s_prime = None
+        self._exp = None  # its seed and squeezed bytes determine S_S, E_S and E_S'
         self.state = ServerState.RESPONDED
         return self.record.salt, self.b_s, self.sigma
 
@@ -339,15 +324,13 @@ class ServerSession:
         # hashed here rather than in respond, which holds the handshake's largest working set
         transcript = transcript_digest(self.record.client_id, self.record.salt, self.b_c, self.b_s)
         expected = client_confirmation_tag(transcript, self.session_key)
-        if not verify_confirmation(expected, m1):
+        if not hmac.compare_digest(expected, m1):
             self._fail()
             raise VerificationFailed("client confirmation tag mismatch")
         self.state = ServerState.COMPLETE
         return server_confirmation_tag(transcript, m1, self.session_key)
 
     def _fail(self) -> None:
-        self.s_s = None
-        self.e_s = None
-        self.e_s_prime = None
+        self._exp = None
         self.session_key = None
         self.state = ServerState.FAILED

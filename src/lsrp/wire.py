@@ -11,6 +11,8 @@ rejected, since its entries could not fit.
 
 Session keys and confirmation secrets never appear as fields; only
 32-byte tags cross the wire.
+Every socket read and write takes a deadline that bounds the whole
+frame, and every read a body cap; there is no unbounded mode.
 """
 from __future__ import annotations
 
@@ -285,7 +287,7 @@ def max_challenge_body(n: int, salt_len: int) -> int:
     return max(challenge, MAX_ERROR_BODY)
 
 
-def read_frame(sock, deadline: float | None = None, max_body: int = MAX_BODY) -> WireMessage:
+def read_frame(sock, deadline: float, max_body: int) -> WireMessage:
     """Read exactly one frame from a connected socket.
 
     `deadline`, a time.monotonic() value, bounds the whole frame rather
@@ -300,22 +302,21 @@ def read_frame(sock, deadline: float | None = None, max_body: int = MAX_BODY) ->
     return _decode_body(kind, body)
 
 
-def write_frame(sock, w: WireMessage, deadline: float | None = None) -> None:
+def write_frame(sock, w: WireMessage, deadline: float) -> None:
     """Send one frame; `deadline` bounds the whole send, as in read_frame."""
     _apply_deadline(sock, deadline)
     sock.sendall(encode_message(w))
 
 
-def _apply_deadline(sock, deadline: float | None) -> None:
-    """Set the socket timeout to the time left before `deadline`, if one is given."""
-    if deadline is not None:
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise TimeoutError("connection deadline passed")
-        sock.settimeout(left)
+def _apply_deadline(sock, deadline: float) -> None:
+    """Set the socket timeout to the time left before `deadline`."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("connection deadline passed")
+    sock.settimeout(left)
 
 
-def _recv_exact(sock, k: int, deadline: float | None = None) -> bytes:
+def _recv_exact(sock, k: int, deadline: float) -> bytes:
     chunks = []
     got = 0
     while got < k:

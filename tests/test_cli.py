@@ -1,4 +1,5 @@
 import threading
+import time
 
 import pytest
 
@@ -31,7 +32,6 @@ def addr(srv):
 
 def test_login_round_trip(server, toy, caplog):
     import logging
-    import time
 
     with caplog.at_level(logging.INFO, logger="lsrp"):
         code, digest = cli.run_login(toy, b"alice", b"pw", addr(server))
@@ -71,7 +71,6 @@ def test_login_unreachable(toy):
 def test_stalled_client_is_dropped_at_the_deadline(server, toy, monkeypatch, caplog, capsys):
     import logging
     import socket
-    import time
 
     from lsrp import wire
     from lsrp.srp_core import ClientSession
@@ -94,7 +93,6 @@ def test_stalled_client_is_dropped_at_the_deadline(server, toy, monkeypatch, cap
 def test_trickling_client_is_dropped_at_the_connection_deadline(server, toy, monkeypatch, caplog):
     import logging
     import socket
-    import time
 
     from lsrp import wire
     from lsrp.srp_core import ClientSession
@@ -133,7 +131,7 @@ def test_oversized_hello_is_refused_before_its_body(server, toy):
     head = wire.MAGIC + bytes([wire.VERSION, int(wire.Kind.HELLO)]) + (1 << 20).to_bytes(4, "big")
     with socket.create_connection(addr(server), timeout=5) as sock:
         sock.sendall(head)  # and no body byte
-        reply = wire.read_frame(sock)
+        reply = wire.read_frame(sock, time.monotonic() + 5, wire.MAX_BODY)
     assert isinstance(reply, wire.ErrorMessage) and reply.code == wire.ErrorCode.BAD_REQUEST
     assert str(wire.max_hello_body(toy.n)).encode() in reply.text
     assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
@@ -151,8 +149,7 @@ def scratch_server(reply):
         with listener:
             conn, _ = listener.accept()
             with conn:
-                conn.settimeout(5)
-                wire.read_frame(conn)
+                wire.read_frame(conn, time.monotonic() + 5, wire.MAX_BODY)
                 reply(conn)
 
     thread = threading.Thread(target=serve, daemon=True)
@@ -162,7 +159,6 @@ def scratch_server(reply):
 
 def test_trickling_server_is_dropped_at_the_login_deadline(toy, monkeypatch, caplog):
     import logging
-    import time
 
     from lsrp import wire
 
@@ -325,6 +321,26 @@ def test_main_rejects_unsafe_params_without_flag(capsys):
 def test_parse_addr_forms():
     assert cli.parse_addr("127.0.0.1:7464") == ("127.0.0.1", 7464)
     assert cli.parse_addr(":9000") == ("127.0.0.1", 9000)
+
+
+def test_main_bad_hex_or_number_is_a_typed_error(tmp_path, caplog):
+    import logging
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n = abc\n")
+    pw = tmp_path / "pw.txt"
+    pw.write_bytes(b"x")
+    cases = [(["simulate", "--lambda-seed", "zz"], "--lambda-seed"),
+             (["simulate", *TOY_FLAGS, "--trials", "1", "--seed", "zz"], "--seed"),
+             (["regev", "--trials", "1", "--seed", "zz"], "--seed"),
+             (["simulate", "--config", str(cfg)], "config line 1"),
+             (["login", *TOY_FLAGS, "--id", "bob", "--password-file", str(pw),
+               "--server", "localhost"], "bad address")]
+    for argv, named in cases:
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="lsrp"):
+            assert cli.main(argv) == cli.EXIT_ERROR
+        assert [named in rec.getMessage() for rec in caplog.records] == [True]
 
 
 def test_config_file_supplies_params(tmp_path, capsys):

@@ -50,33 +50,38 @@ def test_truncated_tail_detected_with_prefix_preserved(store, toy):
         fh.truncate(fh.seek(0, 2) - 5)
     with pytest.raises(CorruptRecord) as info:
         CredentialStore.open(store.path, toy)
-    recovered = info.value.store
-    assert recovered.ids() == [b"alice"]
-    assert CredentialStore.open(store.path, toy, recover=True).ids() == [b"alice"]
+    assert info.value.store.ids() == [b"alice"]
 
 
 def test_garbage_tail_detected(store, toy):
     store.put(register(toy, b"alice", b"pw", salt=SALT))
     with open(store.path, "ab") as fh:
         fh.write(b"\xde\xad\xbe\xef")
-    with pytest.raises(CorruptRecord):
+    with pytest.raises(CorruptRecord) as info:
         CredentialStore.open(store.path, toy)
-    assert CredentialStore.open(store.path, toy, recover=True).ids() == [b"alice"]
+    assert info.value.store.ids() == [b"alice"]
 
 
 def test_non_register_frame_rejected(store, toy):
     store.put(register(toy, b"alice", b"pw", salt=SALT))
     with open(store.path, "ab") as fh:
         fh.write(wire.encode_message(wire.ErrorMessage(1, b"x")))
-    with pytest.raises(CorruptRecord, match="non-register"):
+    with pytest.raises(CorruptRecord, match="non-register") as info:
         CredentialStore.open(store.path, toy)
+    assert info.value.store.ids() == [b"alice"]
 
 
 def test_parameter_mismatch_rejected(store, toy):
     store.put(register(toy, b"alice", b"pw", salt=SALT))
     other = dataclasses.replace(toy, n=4)
-    with pytest.raises(CorruptRecord, match="parameters"):
+    with pytest.raises(CorruptRecord, match="parameters") as info:
         CredentialStore.open(store.path, other)
+    assert len(info.value.store) == 0
+    # a record at other parameters after valid ones: the valid prefix is kept
+    store.put(register(other, b"bob", b"pw", salt=SALT))
+    with pytest.raises(CorruptRecord, match="offset [1-9]") as info:
+        CredentialStore.open(store.path, toy)
+    assert info.value.store.ids() == [b"alice"]
 
 
 def test_version_1_store_refused(store, toy):

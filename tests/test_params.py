@@ -119,3 +119,7 @@ def test_config_rejects_unknown_key_and_bad_hex():
         parse_config("lambda_seed = zz")
     with pytest.raises(ParamError):
         parse_config("n 12")
+    with pytest.raises(ParamError, match="line 2"):
+        parse_config("q = 1153\nn = abc")
+    with pytest.raises(ParamError, match="tau"):
+        parse_config("tau = x")

@@ -76,7 +76,7 @@ def test_encrypt_single_row_subset(keys):
 
 def test_encrypt_rejects_bad_bit(keys):
     with pytest.raises(ValueError):
-        regev_encrypt(keys, 2)
+        regev_encrypt(keys, 2, subset=np.zeros(keys.params.m, dtype=np.uint8))
 
 
 def test_decrypt_threshold_boundaries():

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import hmac
 import sys
 
 import pytest
 
 from lsrp import srp_core, wire
-from lsrp.errors import EmptyField, InvalidState, VerificationFailed
+from lsrp.errors import DimensionMismatch, EmptyField, InvalidState, VerificationFailed
 from lsrp.harness import run_handshake
 from lsrp.modq import ModQMatrix
 from lsrp.params import validate
@@ -15,7 +16,7 @@ from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerStat
                            client_confirmation_tag, client_key_material, compute_verifier,
                            decoy_record, kdf, register, registration_matrices,
                            server_confirmation_tag, server_key_material, shared_basis,
-                           transcript_digest, verify_confirmation)
+                           transcript_digest)
 
 LAMBDA = b"\x01" * 32
 SALT = b"\x00" * 16
@@ -195,9 +196,23 @@ def test_secret_hygiene_after_completion(toy):
     c, s, ok = run_handshake(toy, rec, b"alice", b"pw",
                              client_seed=b"\x04" * 32, server_seed=b"\x05" * 32)
     assert ok
-    assert c.s_c is None and c.e_c is None and c.password is None
-    assert s.s_s is None and s.e_s is None and s.e_s_prime is None
+    assert c.s_c is None and c.password is None
+    # E_C, S_S, E_S and E_S' are locals of hello and respond, never attributes
+    assert not hasattr(c, "e_c")
+    assert not any(hasattr(s, name) for name in ("s_s", "e_s", "e_s_prime"))
     assert c._exp is None and s._exp is None  # the seeded streams the ephemerals came from
+
+
+def test_challenge_at_another_modulus_fails_the_client_session(toy):
+    c = ClientSession(toy, b"alice", b"pw", seed=b"\x0c" * 32)
+    c.hello()
+    other_q = ModQMatrix.zeros(toy.n, 1151)
+    with pytest.raises(DimensionMismatch):
+        c.finish(SALT, other_q, BitMatrix.zeros(toy.n))
+    assert c.state is ClientState.FAILED
+    assert c.password is None and c.s_c is None and c._exp is None and c.session_key is None
+    with pytest.raises(InvalidState):
+        c.finish(SALT, ModQMatrix.zeros(toy.n, toy.q), BitMatrix.zeros(toy.n))
 
 
 def test_failed_server_session_drops_key(toy):
@@ -230,7 +245,7 @@ def test_confirmation_round_trip(toy):
     assert ok
     assert c.transcript == transcript_digest(b"alice", SALT, c.b_c, c.b_s)
     m1 = c.confirmation()
-    assert verify_confirmation(client_confirmation_tag(c.transcript, s.session_key), m1)
+    assert hmac.compare_digest(client_confirmation_tag(c.transcript, s.session_key), m1)
 
 
 def test_confirmation_detects_transcript_tamper(toy):
@@ -240,10 +255,10 @@ def test_confirmation_detects_transcript_tamper(toy):
     tampered = ModQMatrix(toy.n, toy.q, (c.b_s.entries + 1) % toy.q)
     forged = transcript_digest(b"alice", SALT, c.b_c, tampered)
     assert client_confirmation_tag(forged, c.session_key) != c.confirmation()
-    m1 = c.confirmation()
-    m2 = server_confirmation_tag(c.transcript, m1, s.session_key)
-    assert not verify_confirmation(m2, bytes([m2[0] ^ 1]) + m2[1:])
-    assert verify_confirmation(m2, m2)
+    m2 = server_confirmation_tag(c.transcript, c.confirmation(), s.session_key)
+    assert c.verify_server(m2)
+    assert not c.verify_server(bytes([m2[0] ^ 1]) + m2[1:])
+    assert c.state is ClientState.FAILED
 
 
 def test_transcript_digest_hashes_the_encoded_fields(toy):

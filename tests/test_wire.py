@@ -193,6 +193,9 @@ class FakeSocket:
         self.data = data
         self.chunk = chunk
 
+    def settimeout(self, t: float) -> None:
+        pass
+
     def recv(self, k: int) -> bytes:
         out = self.data[:min(k, self.chunk)]
         self.data = self.data[len(out):]
@@ -201,13 +204,14 @@ class FakeSocket:
 
 def test_read_frame_reassembles_fragments():
     msg = wire.Challenge(b"\x01" * 16, M1, SignalMatrix(1, [[0]]))
-    assert wire.read_frame(FakeSocket(wire.encode_message(msg))) == msg
+    assert wire.read_frame(FakeSocket(wire.encode_message(msg)), time.monotonic() + 5,
+                           wire.MAX_BODY) == msg
 
 
 def test_read_frame_detects_early_close():
     data = wire.encode_message(wire.Hello(b"alice", M1))[:-2]
     with pytest.raises(wire.TruncatedFrame):
-        wire.read_frame(FakeSocket(data))
+        wire.read_frame(FakeSocket(data), time.monotonic() + 5, wire.MAX_BODY)
 
 
 class SlowSocket(FakeSocket):
@@ -231,12 +235,12 @@ def test_read_frame_deadline_bounds_the_frame_not_each_recv():
     sock = SlowSocket(data, delay=0.02)
     start = time.monotonic()
     with pytest.raises(TimeoutError):
-        wire.read_frame(sock, deadline=start + 0.2)
+        wire.read_frame(sock, start + 0.2, wire.MAX_BODY)
     assert time.monotonic() - start < 0.5
     # the timeout of each recv is the time left, so it shrinks
     assert len(sock.timeouts) >= 3 and sock.timeouts == sorted(sock.timeouts, reverse=True)
     assert sock.timeouts[0] <= 0.2
-    assert wire.read_frame(SlowSocket(data, delay=0), deadline=time.monotonic() + 5) \
+    assert wire.read_frame(SlowSocket(data, delay=0), time.monotonic() + 5, wire.MAX_BODY) \
         == wire.Hello(b"alice", M1)
 
 
@@ -244,7 +248,7 @@ def test_read_frame_refuses_a_body_over_max_body_before_reading_it():
     head = wire.MAGIC + bytes([wire.VERSION, int(wire.Kind.HELLO)]) + (1 << 20).to_bytes(4, "big")
     sock = FakeSocket(head + b"\x00" * 64)
     with pytest.raises(wire.FieldOutOfRange):
-        wire.read_frame(sock, max_body=wire.max_hello_body(8))
+        wire.read_frame(sock, time.monotonic() + 5, wire.max_hello_body(8))
     assert len(sock.data) == 64  # no body byte was read
 
 
