@@ -45,11 +45,17 @@ def load_params(args) -> ProtocolParams:
         "salt_len": args.salt_len,
         "lambda_seed": parse_hex(args.lambda_seed, "--lambda-seed"),
     }
-    text = ""
-    if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
+    text = read_file(args.config, "--config", "r") if args.config else ""
     return params_from_config(text, overrides, allow_unsafe=args.unsafe_params)
+
+
+def read_file(path: str, flag: str, mode: str):
+    """The whole file a flag names; a file that cannot be opened is a typed error."""
+    try:
+        with open(path, mode) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise LsrpError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def parse_hex(text: str | None, flag: str) -> bytes | None:
@@ -64,8 +70,7 @@ def parse_hex(text: str | None, flag: str) -> bytes | None:
 
 def read_password(args) -> bytes:
     if args.password_file:
-        with open(args.password_file, "rb") as fh:
-            return fh.read().rstrip(b"\r\n")
+        return read_file(args.password_file, "--password-file", "rb").rstrip(b"\r\n")
     return getpass.getpass("password: ").encode()
 
 

@@ -1,12 +1,18 @@
 """Arithmetic over Z_q and over square matrices of Z_q elements.
 
-Entries are stored canonically in [0, q), q < 2^32 (`Q_LIMIT`).  A product
-centers both operands, multiplies them with float64 BLAS and reduces the
-integer-valued result in int64.  It is exact while n*max|x|*max|y| < 2^53:
-every partial sum is then an integer below 2^53 in any summation order.
-Protocol products (one operand Gaussian) meet that in one pass; otherwise
-the canonical right operand is cut into k-bit limbs with n*max|x|*2^k < 2^53
-and recombined from the top limb in int64, where q*2^k < 2^63 rules out wrap.
+Entries are stored canonically in [0, q), q < 2^32 (`Q_LIMIT`).  A sum,
+difference or doubling is one NumPy add or subtract into a new array,
+folded into [0, q) in place by one compare-min on its uint64 view: with
+canonical operands the raw result lies in (-q, 2q), and exactly one of
+u and u -/+ q (mod 2^64) is below q, the smaller one.
+
+A product centers both operands straight into float64, multiplies them
+with BLAS and reduces the integer-valued result in int64.  It is exact
+while n*max|x|*max|y| < 2^53: every partial sum is then an integer below
+2^53 in any summation order.  Protocol products (one operand Gaussian)
+meet that in one pass; otherwise the canonical right operand is cut into
+k-bit limbs with n*max|x|*2^k < 2^53 and recombined from the top limb in
+int64, where q*2^k < 2^63 rules out wrap.
 """
 from __future__ import annotations
 
@@ -30,8 +36,31 @@ def centered_array(entries: np.ndarray, q: int) -> np.ndarray:
 
 
 def reduce_array(a: np.ndarray, q: int) -> np.ndarray:
-    """a % q, in [0, q); NumPy's int64 `//` by a scalar is several times faster than `%`."""
-    return a - (a // q) * q
+    """a % q in [0, q), as one new array; NumPy's int64 `//` by a scalar beats `%` several times."""
+    out = a // q
+    out *= q
+    return np.subtract(a, out, out=out)
+
+
+def fold_sum(a: np.ndarray, q: int) -> np.ndarray:
+    """Map int64 entries in [0, 2q) to their residues in [0, q), in place."""
+    u = a.view(np.uint64)
+    np.minimum(u, u - np.uint64(q), out=u)
+    return a
+
+
+def fold_signed(a: np.ndarray, q: int) -> np.ndarray:
+    """Map int64 entries in (-q, q) to their residues in [0, q), in place."""
+    u = a.view(np.uint64)
+    np.minimum(u, u + np.uint64(q), out=u)
+    return a
+
+
+def _centered_float(entries: np.ndarray, q: int) -> np.ndarray:
+    """Canonical residues as centered float64 representatives, exact since q < 2^32."""
+    x = np.multiply(entries > (q - 1) // 2, float(-q))
+    x += entries
+    return x
 
 
 class ModQMatrix:
@@ -45,7 +74,7 @@ class ModQMatrix:
             raise DimensionMismatch(f"expected shape ({n}, {n}), got {arr.shape}")
         if q >= Q_LIMIT:
             raise ValueError(f"modulus {q} not below 2^32")
-        if arr.size and (arr.min() < 0 or arr.max() >= q):
+        if arr.size and arr.view(np.uint64).max() >= q:  # a negative entry is above 2^63
             raise ValueError(f"entries must lie in [0, {q})")
         self.n = n
         self.q = q
@@ -86,11 +115,12 @@ class ModQMatrix:
 
     def __add__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
-        return ModQMatrix(self.n, self.q, reduce_array(self.entries + other.entries, self.q))
+        return ModQMatrix(self.n, self.q, fold_sum(np.add(self.entries, other.entries), self.q))
 
     def __sub__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
-        return ModQMatrix(self.n, self.q, reduce_array(self.entries - other.entries, self.q))
+        diff = np.subtract(self.entries, other.entries)
+        return ModQMatrix(self.n, self.q, fold_signed(diff, self.q))
 
     def __neg__(self) -> "ModQMatrix":
         return ModQMatrix(self.n, self.q, reduce_array(-self.entries, self.q))
@@ -99,26 +129,25 @@ class ModQMatrix:
         """Exact product mod q; see the module docstring for the exactness bound."""
         self._check(other)
         n, q = self.n, self.q
-        x = self.centered()
-        y = other.centered()
-        row_bound = n * int(np.abs(x).max(initial=0))
-        if row_bound * int(np.abs(y).max(initial=0)) < 1 << _FLOAT_EXACT_BITS:
+        x = _centered_float(self.entries, q)
+        y = _centered_float(other.entries, q)
+        row_bound = n * int(max(x.max(initial=0), -x.min(initial=0)))
+        if row_bound * int(max(y.max(initial=0), -y.min(initial=0))) < 1 << _FLOAT_EXACT_BITS:
             k, limbs = 0, [y]
         else:
             k = min(_FLOAT_EXACT_BITS - row_bound.bit_length(), 63 - q.bit_length())
             y = other.entries
             count = -(-int(y.max()).bit_length() // k)
             limbs = [(y >> (k * i)) & ((1 << k) - 1) for i in reversed(range(count))]
-        x = x.astype(np.float64)
         out = None
         for limb in limbs:
-            part = reduce_array((x @ limb.astype(np.float64)).astype(np.int64), q)
+            part = reduce_array((x @ limb.astype(np.float64, copy=False)).astype(np.int64), q)
             out = part if out is None else reduce_array((out << k) + part, q)
         return ModQMatrix(n, q, out)
 
     def scale2(self) -> "ModQMatrix":
         """Entrywise doubling mod q (the protocol's noise factor 2)."""
-        return ModQMatrix(self.n, self.q, reduce_array(2 * self.entries, self.q))
+        return ModQMatrix(self.n, self.q, fold_sum(np.add(self.entries, self.entries), self.q))
 
     def centered(self) -> np.ndarray:
         """Entries as centered representatives in (-q/2, q/2)."""

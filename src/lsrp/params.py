@@ -11,6 +11,7 @@ seed given, every command uses the nothing-up-my-sleeve `DEFAULT_LAMBDA_SEED`.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from .errors import LsrpError
@@ -73,8 +74,8 @@ def validate(p: ProtocolParams, allow_unsafe: bool = False) -> ProtocolParams:
     """
     if p.n < 1:
         raise ParamError(f"dimension must be positive, got {p.n}")
-    if p.tau <= 0:
-        raise ParamError(f"tau must be positive, got {p.tau}")
+    if not math.isfinite(p.tau) or p.tau <= 0:
+        raise ParamError(f"tau must be positive and finite, got {p.tau}")
     if p.tail_cutoff < 1:
         raise ParamError(f"tail_cutoff must be positive, got {p.tail_cutoff}")
     if p.salt_len < 1:

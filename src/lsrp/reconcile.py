@@ -13,8 +13,6 @@ wrap of the canonical range.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -88,13 +86,13 @@ def extract_bits(x: np.ndarray, sigma, q: int) -> np.ndarray:
     return (shift(x, sigma, q) & 1).astype(np.uint8)
 
 
-def signal(m: ModQMatrix, bit_source: Callable[[int], np.ndarray]) -> SignalMatrix:
+def signal(m: ModQMatrix, variants: np.ndarray) -> SignalMatrix:
     """Entrywise randomized signal: one variant bit per entry, row-major.
 
-    bit_source(k) must return k bits.  The protocol passes the server's
+    variants holds n*n bits.  The protocol reads them from the server's
     seeded stream, so the signal is deterministic in the session seed.
     """
-    variants = np.asarray(bit_source(m.n * m.n), dtype=np.uint8).reshape(m.n, m.n)
+    variants = np.asarray(variants, dtype=np.uint8).reshape(m.n, m.n)
     return SignalMatrix(m.n, hint_bits(m.entries, variants, m.q))
 
 

@@ -20,6 +20,8 @@ rejection samplers whose float rounding varies across platforms.  The
 lookup is indexed by a draw's top 12 bits: a bucket that holds no table
 entry maps every draw in it to the same index, so only the draws in the
 few buckets that hold an entry (about 0.2% at tau=3) need a binary search.
+The signed draws are wrapped to residues mod q in place (`modq.fold_signed`),
+with one compare-min and no integer division.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import EmptyField
-from .modq import ModQMatrix
+from .modq import ModQMatrix, fold_signed
 from .params import ProtocolParams
 
 _U64_MAX = 2 ** 64 - 1
@@ -168,7 +170,7 @@ class GaussianTable:
         is at least first[bucket]; it is exactly that unless an entry lies
         inside the bucket, and only those draws are searched.
         """
-        top = (draws >> _PREFIX_SHIFT).astype(np.intp)
+        top = (draws >> _PREFIX_SHIFT).view(np.int64)
         idx = self.first[top]
         hit = np.flatnonzero(self.mixed[top])
         idx[hit] = np.searchsorted(self.cdf, draws[hit], side="left")
@@ -264,10 +266,11 @@ def gaussian_matrix_from(p: ProtocolParams, expander: StreamExpander) -> ModQMat
 
     Kept separate from gaussian_matrix so several matrices can be drawn in
     a fixed order from one stream (registration draws the secret then the
-    noise from the same seed).
+    noise from the same seed).  The signed draws, |x| <= tail_cutoff*tau
+    < q/2, are wrapped to residues in place.
     """
     signed = gaussian_ints(expander, p.n * p.n, _table_for(p))
-    return ModQMatrix.from_signed(p.n, p.q, signed.reshape(p.n, p.n))
+    return ModQMatrix(p.n, p.q, fold_signed(signed, p.q).reshape(p.n, p.n))
 
 
 def gaussian_matrix(p: ProtocolParams, tag: bytes, seed: bytes | None = None) -> ModQMatrix:

@@ -14,6 +14,12 @@ With all noise zero both sides reduce to (S_I + S_C) * A * S_S; the noisy
 difference M_C - M_S is even and small, which is exactly what the
 signal/extractor reconciliation needs.
 
+Each party draws its ephemerals from one seeded stream in a fixed order
+and drops the stream (its seed and squeezed bytes, 1.5 MB at n=256) after
+the last draw, before any product: the client draws S_C, E_C and E_C' in
+hello and keeps E_C' for finish; the server draws S_S, E_S, E_S' and one
+signal variant bit per entry at the start of respond.
+
 Key confirmation (client tag then server tag) is an extension over the
 bare key exchange: without it the server never learns whether the
 authentication succeeded.  As SRP's M1/M2 (RFC 2945) and TLS 1.3's
@@ -201,10 +207,11 @@ class ClientSession:
         self.password: bytes | None = password
         self.state = ClientState.INIT
         self.keep_material = keep_material
-        # draw budget: S_C and E_C in hello, E_C' in finish
+        # draw budget: S_C, E_C and E_C', all three in hello
         self._exp = StreamExpander(b"LSRP-client", seed if seed is not None else secrets.token_bytes(32),
                                    reserve=3 * gaussian_matrix_bytes(p))
         self.s_c: ModQMatrix | None = None
+        self._e_c_prime: ModQMatrix | None = None
         self.b_c: ModQMatrix | None = None
         self.b_s: ModQMatrix | None = None
         self.transcript: bytes | None = None
@@ -218,6 +225,8 @@ class ClientSession:
         p = self.params
         self.s_c = gaussian_matrix_from(p, self._exp)
         e_c = gaussian_matrix_from(p, self._exp)
+        self._e_c_prime = gaussian_matrix_from(p, self._exp)
+        self._exp = None  # its last draw is done: free its squeezed bytes before the product
         self.b_c = self.s_c @ shared_basis(p) + e_c.scale2()
         self.state = ClientState.HELLO_SENT
         return self.client_id, self.b_c
@@ -233,8 +242,7 @@ class ClientSession:
         gamma = derive_registration_seed(self.client_id, salt, self.password)
         s_i, e_i = registration_matrices(p, gamma)
         v = compute_verifier(shared_basis(p), s_i, e_i)
-        e_c_prime = gaussian_matrix_from(p, self._exp)
-        m_c = client_key_material(s_i, self.s_c, b_s, v, e_c_prime)
+        m_c = client_key_material(s_i, self.s_c, b_s, v, self._e_c_prime)
         self.session_key = kdf(extract(m_c, sigma), p.lambda_seed)
         if self.keep_material:
             self.key_material = m_c
@@ -263,6 +271,7 @@ class ClientSession:
     def _clear_secrets(self) -> None:
         self._exp = None  # its seed and squeezed bytes determine S_C, E_C and E_C'
         self.s_c = None
+        self._e_c_prime = None
         self.password = None
 
     def _fail(self) -> None:
@@ -303,14 +312,15 @@ class ServerSession:
         s_s = gaussian_matrix_from(p, self._exp)
         e_s = gaussian_matrix_from(p, self._exp)
         e_s_prime = gaussian_matrix_from(p, self._exp)
+        variants = self._exp.read_bits(p.n * p.n)
+        self._exp = None  # its seed and squeezed bytes determine S_S, E_S, E_S' and the variants
         self.b_c = b_c
         self.b_s = v + shared_basis(p) @ s_s + e_s.scale2()
         m_s = server_key_material(v, b_c, s_s, e_s_prime)
-        self.sigma = signal(m_s, self._exp.read_bits)
+        self.sigma = signal(m_s, variants)
         self.session_key = kdf(extract(m_s, self.sigma), p.lambda_seed)
         if self.keep_material:
             self.key_material = m_s
-        self._exp = None  # its seed and squeezed bytes determine S_S, E_S and E_S'
         self.state = ServerState.RESPONDED
         return self.record.salt, self.b_s, self.sigma
 

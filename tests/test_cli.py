@@ -330,10 +330,15 @@ def test_main_bad_hex_or_number_is_a_typed_error(tmp_path, caplog):
     cfg.write_text("n = abc\n")
     pw = tmp_path / "pw.txt"
     pw.write_bytes(b"x")
+    missing = str(tmp_path / "missing")
     cases = [(["simulate", "--lambda-seed", "zz"], "--lambda-seed"),
              (["simulate", *TOY_FLAGS, "--trials", "1", "--seed", "zz"], "--seed"),
              (["regev", "--trials", "1", "--seed", "zz"], "--seed"),
              (["simulate", "--config", str(cfg)], "config line 1"),
+             (["simulate", "--tau", "nan", "--lambda-seed", LAMBDA_HEX, "--trials", "1"], "tau"),
+             (["simulate", "--config", missing], f"--config: cannot read {missing}"),
+             (["register", *TOY_FLAGS, "--store", str(tmp_path / "s.db"), "--id", "a",
+               "--password-file", missing], f"--password-file: cannot read {missing}"),
              (["login", *TOY_FLAGS, "--id", "bob", "--password-file", str(pw),
                "--server", "localhost"], "bad address")]
     for argv, named in cases:

@@ -87,8 +87,9 @@ def test_mismatch_errors():
         m(13, [[1]]) + ModQMatrix.zeros(2, 13)
     with pytest.raises(ModulusMismatch):
         m(13, [[1]]) + m(17, [[1]])
-    with pytest.raises(ValueError):
-        ModQMatrix(1, 13, [[13]])
+    for entry in (-1, -(1 << 63), 13, (1 << 63) - 1):
+        with pytest.raises(ValueError):
+            ModQMatrix(2, 13, [[0, 1], [entry, 2]])
 
 
 small = st.integers(min_value=0, max_value=40)
@@ -160,6 +161,19 @@ def test_modulus_at_or_above_2_32_rejected():
         ModQMatrix(1, 1 << 32, [[5]])
     with pytest.raises(ValueError):
         ModQMatrix(1, (1 << 33) + 1, [[5]])
+
+
+@pytest.mark.parametrize("q", [1153, 65537, (1 << 25) - 39, (1 << 32) - 5])
+def test_fold_kernels_match_the_remainder_oracle_at_edge_values(q):
+    # every ordered pair of these: sums near 2q - 2, differences near -(q - 1), both sides of q/2
+    vals = [0, 1, 2, (q - 1) // 2, (q + 1) // 2, q - 3, q - 2, q - 1]
+    a, b = (ModQMatrix(8, q, grid) for grid in np.meshgrid(vals, vals))
+    x, y = a.entries.astype(object), b.entries.astype(object)
+    assert (a + b).entries.tolist() == ((x + y) % q).tolist()
+    assert (a - b).entries.tolist() == ((x - y) % q).tolist()
+    assert (b - a).entries.tolist() == ((y - x) % q).tolist()
+    assert a.scale2().entries.tolist() == ((2 * x) % q).tolist()
+    assert (-a).entries.tolist() == ((-x) % q).tolist()
 
 
 def test_matrices_are_immutable():

@@ -61,6 +61,8 @@ def test_cutoff_too_large_rejected():
 @pytest.mark.parametrize("field,value,exc", [
     ("n", 0, ParamError),
     ("tau", -1.0, ParamError),
+    ("tau", float("nan"), ParamError),
+    ("tau", float("inf"), ParamError),
     ("tail_cutoff", 0, ParamError),
     ("salt_len", 0, ParamError),
     ("lambda_seed", b"\x01" * 31, ParamError),

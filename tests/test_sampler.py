@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from lsrp.errors import EmptyField
+from lsrp.modq import ModQMatrix
+from lsrp.params import ProtocolParams
 from lsrp.sampler import (GaussianTable, StreamExpander, derive_registration_seed, fresh_salt,
-                          gaussian_ints, gaussian_matrix, uniform_ints, uniform_matrix)
+                          gaussian_ints, gaussian_matrix, gaussian_matrix_from, uniform_ints,
+                          uniform_matrix)
 
 LAMBDA = b"\x01" * 32
 
@@ -226,6 +229,27 @@ def test_prefix_lookup_matches_binary_search(tau):
     ])
     expected = t.support[np.searchsorted(t.cdf, draws, side="left")]
     assert np.array_equal(t.sample(draws), expected)
+
+
+@pytest.mark.parametrize("tau", [1.0, 3.0, 20.0])
+def test_gaussian_matrix_residues_equal_from_signed_for_every_support_value(tau):
+    """gaussian_matrix_from wraps each signed draw to the residue from_signed gives."""
+    table = GaussianTable.build(tau, 10)
+    n = math.isqrt(len(table.support) - 1) + 1
+    pad = n * n - len(table.cdf)
+    draws = np.concatenate([table.cdf, table.cdf[:pad]])  # cdf[i] draws support[i]
+    signed = np.concatenate([table.support, table.support[:pad]]).reshape(n, n)
+
+    class FixedDraws:
+        def read_u64(self, count):
+            assert count == n * n
+            return draws.copy()
+
+    q = 65537
+    p = ProtocolParams(n=n, q=q, tau=tau, lambda_seed=b"\x01" * 32)
+    got = gaussian_matrix_from(p, FixedDraws())
+    assert got == ModQMatrix.from_signed(n, q, signed)
+    assert got.entries.tolist() == (signed.astype(object) % q).tolist()
 
 
 def oracle_cdf(tau: float, cutoff: int) -> list[int]:

@@ -201,6 +201,17 @@ def test_secret_hygiene_after_completion(toy):
     assert not hasattr(c, "e_c")
     assert not any(hasattr(s, name) for name in ("s_s", "e_s", "e_s_prime"))
     assert c._exp is None and s._exp is None  # the seeded streams the ephemerals came from
+    assert c._e_c_prime is None
+
+
+def test_each_seeded_stream_is_dropped_after_its_last_draw(toy):
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    c = ClientSession(toy, b"alice", b"pw", seed=b"\x04" * 32)
+    s = ServerSession(toy, rec, seed=b"\x05" * 32)
+    cid, b_c = c.hello()
+    assert c._exp is None and c._e_c_prime is not None  # E_C' waits for finish
+    s.respond(cid, b_c)
+    assert s._exp is None
 
 
 def test_challenge_at_another_modulus_fails_the_client_session(toy):
@@ -211,6 +222,7 @@ def test_challenge_at_another_modulus_fails_the_client_session(toy):
         c.finish(SALT, other_q, BitMatrix.zeros(toy.n))
     assert c.state is ClientState.FAILED
     assert c.password is None and c.s_c is None and c._exp is None and c.session_key is None
+    assert c._e_c_prime is None
     with pytest.raises(InvalidState):
         c.finish(SALT, ModQMatrix.zeros(toy.n, toy.q), BitMatrix.zeros(toy.n))
 
