@@ -17,7 +17,7 @@ from .errors import LsrpError, VerificationFailed
 from .harness import lemma_violations, simulate
 from .params import ParamError, ProtocolParams, params_from_config
 from .regev import default_regev_params, round_trip_accuracy
-from .srp_core import ClientSession, ServerSession, decoy_record, register
+from .srp_core import ClientSession, ServerSession, decoy_record, decoy_verifier, register
 from . import wire
 
 log = logging.getLogger("lsrp")
@@ -113,7 +113,7 @@ class _Handler(socketserver.BaseRequestHandler):
         record = srv.store.get(msg.client_id)
         if record is None:
             # anti-enumeration: answer with a deterministic decoy credential
-            record = decoy_record(srv.params, msg.client_id, srv.server_secret)
+            record = decoy_record(srv.params, msg.client_id, srv.server_secret, srv.decoy_verifier)
         session = ServerSession(srv.params, record)
         try:
             salt, b_s, sigma = session.respond(msg.client_id, msg.b_c)
@@ -156,6 +156,7 @@ class LsrpServer(socketserver.ThreadingTCPServer):
         self.params = params
         self.store = store
         self.server_secret = secrets.token_bytes(32)
+        self.decoy_verifier = decoy_verifier(params, self.server_secret)
 
 
 def run_login(p: ProtocolParams, client_id: bytes, password: bytes,

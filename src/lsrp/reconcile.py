@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .modq import ModQMatrix, centered, centered_array, reduce_array
+from .modq import ModQMatrix, centered, centered_array
 
 
 class BitMatrix:
@@ -76,9 +76,15 @@ def hint_bits(x: np.ndarray, variant, q: int) -> np.ndarray:
 
 
 def shift(x: np.ndarray, sigma, q: int) -> np.ndarray:
-    """Centered value of (x + sigma*(q-1)/2) mod q, whose parity is the shared bit."""
-    s = np.asarray(sigma, dtype=np.int64)
-    return centered_array(reduce_array(x + s * ((q - 1) // 2), q), q)
+    """Centered value of (x + sigma*(q-1)/2) mod q, whose parity is the shared bit.
+
+    x is canonical and sigma a bit array of its shape, so the sum s lies in
+    [0, q + (q-1)/2) and needs no reduction: one at or past q centers to
+    s - q, which is below (q-1)/2 and so is already its centered residue.
+    """
+    s = np.multiply(sigma, (q - 1) // 2, dtype=np.int64)
+    s += x
+    return centered_array(s, q)
 
 
 def extract_bits(x: np.ndarray, sigma, q: int) -> np.ndarray:

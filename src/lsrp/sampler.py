@@ -1,18 +1,24 @@
 """Seeded and fresh sampling of uniform and discrete-Gaussian matrices.
 
-All seeded randomness flows through one SHAKE-256 expander so that any
-(tag, seed) pair yields the same byte stream on every platform.  The
-expander squeezes a prefix of the stream and squeezes again from byte 0
-when a read runs past it; a caller that knows its draw budget passes it
-as `reserve`, and the stream is squeezed once, at that length.  A wrong
-budget costs time, never different bytes.
+Seeded randomness flows through two kinds of stream.  A `StreamExpander`
+is SHAKE-256(tag, seed), so any (tag, seed) pair yields the same bytes on
+every platform; every draw that another party or a golden vector must
+reproduce comes from one (the registration secrets, the basis A, decoys).
+A `SessionStream` is a ChaCha20 keystream (RFC 8439) under a key hashed
+from (tag, seed) with SHAKE-256; a party's private ephemerals come from
+one, since no peer ever reproduces them, and ChaCha20 expands a seed
+over ten times faster than the SHAKE-256 XOF.  Both squeeze a prefix of
+the stream and squeeze again from byte 0 when a read runs past it; a
+caller that knows its draw budget passes it as `reserve`, and the stream
+is squeezed once, at that length.  Both outputs are prefix-consistent,
+so a wrong budget costs time, never different bytes.
 
-The squeeze runs in OpenSSL's SHAKE-256 XOF, called through ctypes in the
-libcrypto that hashlib is linked against.  ctypes releases the GIL for the
-squeeze, so concurrent handshakes (the threads of `lsrp serve`, or
-several in-process callers) squeeze their streams in parallel; hashlib's
-XOF digest holds the GIL for the whole squeeze, about 1 MB per n=128
-handshake.  The short digests elsewhere (KDF, tags, seeds) stay on hashlib.
+Both squeezes run in OpenSSL (the SHAKE-256 XOF and the ChaCha20 cipher),
+called through ctypes in the libcrypto that hashlib is linked against.
+ctypes releases the GIL for the squeeze, so concurrent handshakes (the
+threads of `lsrp serve`, or several in-process callers) squeeze their
+streams in parallel; hashlib's XOF digest holds the GIL for the whole
+squeeze.  The short digests elsewhere (KDF, tags, seeds) stay on hashlib.
 
 Gaussian sampling is inverse-CDT on a 64-bit fixed-point cumulative table:
 the table is plain integer data, so seeded draws are bit-exact, unlike
@@ -44,12 +50,13 @@ _PREFIX_SHIFT = 64 - _PREFIX_BITS
 
 
 def _bind_libcrypto() -> SimpleNamespace:
-    """The SHAKE-256 calls of hashlib's libcrypto, with their signatures declared.
+    """The SHAKE-256 and ChaCha20 calls of hashlib's libcrypto, with their signatures declared.
 
-    Only the squeeze, EVP_DigestFinalXOF, is bound through CDLL, which
-    releases the GIL.  The other calls allocate or free, and PyDLL keeps them
-    under the GIL: allocating from several threads at once made glibc's
-    malloc add ~5 MB (7%) to the peak RSS of two n=256 callers on a 2-core host.
+    Only the squeezes, EVP_DigestFinalXOF and EVP_EncryptUpdate, are bound
+    through CDLL, which releases the GIL.  The other calls allocate or free,
+    and PyDLL keeps them under the GIL: allocating from several threads at
+    once made glibc's malloc add ~5 MB (7%) to the peak RSS of two n=256
+    callers on a 2-core host.
     """
     c_int, c_size_t, c_void_p = ctypes.c_int, ctypes.c_size_t, ctypes.c_void_p
     try:
@@ -64,13 +71,20 @@ def _bind_libcrypto() -> SimpleNamespace:
             (keep_gil, "EVP_DigestInit_ex", c_int, [c_void_p, c_void_p, c_void_p]),
             (keep_gil, "EVP_DigestUpdate", c_int, [c_void_p, ctypes.c_char_p, c_size_t]),
             (drop_gil, "EVP_DigestFinalXOF", c_int, [c_void_p, c_void_p, c_size_t]),
+            (keep_gil, "EVP_CIPHER_CTX_new", c_void_p, []),
+            (keep_gil, "EVP_CIPHER_CTX_free", None, [c_void_p]),
+            (keep_gil, "EVP_chacha20", c_void_p, []),
+            (keep_gil, "EVP_EncryptInit_ex", c_int,
+             [c_void_p, c_void_p, c_void_p, ctypes.c_char_p, ctypes.c_char_p]),
+            (drop_gil, "EVP_EncryptUpdate", c_int,
+             [c_void_p, c_void_p, ctypes.POINTER(c_int), c_void_p, c_int]),
         ]:
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
             setattr(calls, name, fn)
     except (ImportError, OSError, AttributeError) as exc:
-        raise ImportError("lsrp squeezes its seeded streams with OpenSSL's SHAKE-256 XOF and "
-                          f"could not bind it in the libcrypto that hashlib uses: {exc}") from exc
+        raise ImportError("lsrp squeezes its seeded streams with OpenSSL's SHAKE-256 XOF and ChaCha20 "
+                          f"and could not bind them in the libcrypto that hashlib uses: {exc}") from exc
     return calls
 
 
@@ -97,6 +111,34 @@ def _shake256(prefix: bytes, length: int) -> np.ndarray:
     return out
 
 
+_CHACHA20_CHUNK = 1 << 30  # EVP_EncryptUpdate takes an int length
+
+
+def _chacha20(key: bytes, length: int) -> np.ndarray:
+    """The first `length` bytes of the ChaCha20 keystream (RFC 8439) under `key`,
+    nonce zero, block counter 0, made without the GIL."""
+    out = np.zeros(length, dtype=np.uint8)
+    ctx = _LIBCRYPTO.EVP_CIPHER_CTX_new()
+    if not ctx:
+        raise MemoryError("OpenSSL EVP_CIPHER_CTX_new failed")
+    try:
+        # OpenSSL's 16-byte IV is the 4-byte block counter, then the 12-byte nonce
+        _check(_LIBCRYPTO.EVP_EncryptInit_ex(ctx, _LIBCRYPTO.EVP_chacha20(), None, key, bytes(16)),
+               "EVP_EncryptInit_ex")
+        written = ctypes.c_int()
+        for start in range(0, length, _CHACHA20_CHUNK):
+            chunk = min(_CHACHA20_CHUNK, length - start)
+            at = out.ctypes.data + start
+            # encrypting zeros in place leaves the keystream
+            _check(_LIBCRYPTO.EVP_EncryptUpdate(ctx, at, ctypes.byref(written), at, chunk),
+                   "EVP_EncryptUpdate")
+            if written.value != chunk:
+                raise RuntimeError("OpenSSL EVP_EncryptUpdate wrote a short block")
+    finally:
+        _LIBCRYPTO.EVP_CIPHER_CTX_free(ctx)
+    return out
+
+
 class StreamExpander:
     """Unbounded deterministic byte stream from SHAKE-256(tag, seed).
 
@@ -111,11 +153,14 @@ class StreamExpander:
         self._off = 0
         self._reserve = reserve
 
+    def _squeeze(self, length: int) -> np.ndarray:
+        return _shake256(self._prefix, length)
+
     def read(self, k: int) -> bytes:
         need = self._off + k
         if need > len(self._buf):
-            # SHAKE output is prefix-consistent, so squeezing again extends the stream
-            self._buf = _shake256(self._prefix, max(need, 2 * len(self._buf), self._reserve))
+            # the output is prefix-consistent, so squeezing again extends the stream
+            self._buf = self._squeeze(max(need, 2 * len(self._buf), self._reserve))
         out = self._buf[self._off:need].tobytes()
         self._off = need
         return out
@@ -126,6 +171,24 @@ class StreamExpander:
     def read_bits(self, count: int) -> np.ndarray:
         raw = np.frombuffer(self.read((count + 7) // 8), dtype=np.uint8)
         return np.unpackbits(raw)[:count]
+
+
+class SessionStream(StreamExpander):
+    """Unbounded byte stream for one party's private draws: the ChaCha20
+    keystream under the key SHAKE-256(tag, seed)[:32].
+
+    Deterministic in (tag, seed) like its base, with the same tag
+    separation, but not SHAKE-256's bytes: only for draws that no peer and
+    no golden vector reproduces.  The stream keeps the key, not the seed.
+    """
+
+    def __init__(self, tag: bytes, seed: bytes, reserve: int = 4096) -> None:
+        super().__init__(tag, seed, reserve)
+        self._key = hashlib.shake_256(self._prefix).digest(32)
+        del self._prefix
+
+    def _squeeze(self, length: int) -> np.ndarray:
+        return _chacha20(self._key, length)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,15 @@ With all noise zero both sides reduce to (S_I + S_C) * A * S_S; the noisy
 difference M_C - M_S is even and small, which is exactly what the
 signal/extractor reconciliation needs.
 
-Each party draws its ephemerals from one seeded stream in a fixed order
-and drops the stream (its seed and squeezed bytes, 1.5 MB at n=256) after
-the last draw, before any product: the client draws S_C, E_C and E_C' in
-hello and keeps E_C' for finish; the server draws S_S, E_S, E_S' and one
-signal variant bit per entry at the start of respond.
+Each party draws its ephemerals from one `SessionStream` (a ChaCha20
+keystream under a key hashed from the party's tag and session seed) in a
+fixed order, and drops the stream (its key and squeezed bytes, 1.5 MB at
+n=256) after the last draw, before any product: the client draws S_C, E_C
+and E_C' in hello and keeps E_C' for finish; the server draws S_S, E_S,
+E_S' and one signal variant bit per entry at the start of respond.  No
+peer reproduces these draws, so the wire does not depend on how they are
+expanded.  What a peer does reproduce, S_I and E_I from the registration
+seed, comes from a SHAKE-256 `StreamExpander`, as does the basis A.
 
 Key confirmation (client tag then server tag) is an extension over the
 bare key exchange: without it the server never learns whether the
@@ -47,8 +51,8 @@ from .errors import DimensionMismatch, EmptyField, InvalidState, LsrpError, Veri
 from .modq import ModQMatrix
 from .params import ProtocolParams
 from .reconcile import KeyBits, SignalMatrix, extract, signal
-from .sampler import (StreamExpander, derive_registration_seed, fresh_salt, gaussian_matrix_bytes,
-                      gaussian_matrix_from, uniform_matrix)
+from .sampler import (SessionStream, StreamExpander, derive_registration_seed, fresh_salt,
+                      gaussian_matrix_bytes, gaussian_matrix_from, uniform_matrix)
 from .wire import TAG_LEN, matrix_fields
 
 SESSION_KEY_LEN = 32
@@ -126,17 +130,27 @@ def register(p: ProtocolParams, client_id: bytes, password: bytes,
     return VerifierRecord(client_id=client_id, salt=salt, verifier=v)
 
 
-def decoy_record(p: ProtocolParams, client_id: bytes, server_secret: bytes) -> VerifierRecord:
+def decoy_verifier(p: ProtocolParams, server_secret: bytes) -> ModQMatrix:
+    """The verifier every decoy record carries, derived once per server secret.
+
+    V never leaves the server: B_S hides it behind a fresh LWE sample, so
+    one V shared by all unknown ids reveals nothing, and an unknown id
+    costs the server no more work than a real one.
+    """
+    return uniform_matrix(p, b"decoy-V", server_secret)
+
+
+def decoy_record(p: ProtocolParams, client_id: bytes, server_secret: bytes,
+                 verifier: ModQMatrix) -> VerifierRecord:
     """Indistinguishable stand-in record for unregistered ids (anti-enumeration).
 
-    Deterministic in (id, server_secret) so repeated probes see the same
-    salt, like a real account would.
+    The salt is deterministic in (id, server_secret) so repeated probes see
+    the same salt, like a real account would; `verifier` is
+    decoy_verifier(p, server_secret).
     """
     shake = hashlib.shake_256()
     shake.update(b"LSRP-decoy" + len(client_id).to_bytes(4, "big") + client_id + server_secret)
-    salt = shake.digest(p.salt_len)
-    v = uniform_matrix(p, b"decoy-V", salt + server_secret)
-    return VerifierRecord(client_id=client_id, salt=salt, verifier=v)
+    return VerifierRecord(client_id=client_id, salt=shake.digest(p.salt_len), verifier=verifier)
 
 
 def kdf(k: KeyBits, lambda_seed: bytes) -> bytes:
@@ -208,8 +222,8 @@ class ClientSession:
         self.state = ClientState.INIT
         self.keep_material = keep_material
         # draw budget: S_C, E_C and E_C', all three in hello
-        self._exp = StreamExpander(b"LSRP-client", seed if seed is not None else secrets.token_bytes(32),
-                                   reserve=3 * gaussian_matrix_bytes(p))
+        self._exp = SessionStream(b"LSRP-client", seed if seed is not None else secrets.token_bytes(32),
+                                  reserve=3 * gaussian_matrix_bytes(p))
         self.s_c: ModQMatrix | None = None
         self._e_c_prime: ModQMatrix | None = None
         self.b_c: ModQMatrix | None = None
@@ -269,7 +283,7 @@ class ClientSession:
         return ok
 
     def _clear_secrets(self) -> None:
-        self._exp = None  # its seed and squeezed bytes determine S_C, E_C and E_C'
+        self._exp = None  # its key and squeezed bytes determine S_C, E_C and E_C'
         self.s_c = None
         self._e_c_prime = None
         self.password = None
@@ -290,8 +304,8 @@ class ServerSession:
         self.state = ServerState.INIT
         self.keep_material = keep_material
         # draw budget: S_S, E_S, E_S' and one signal variant bit per entry
-        self._exp = StreamExpander(b"LSRP-server", seed if seed is not None else secrets.token_bytes(32),
-                                   reserve=3 * gaussian_matrix_bytes(p) + (p.n * p.n + 7) // 8)
+        self._exp = SessionStream(b"LSRP-server", seed if seed is not None else secrets.token_bytes(32),
+                                  reserve=3 * gaussian_matrix_bytes(p) + (p.n * p.n + 7) // 8)
         self.b_c: ModQMatrix | None = None
         self.b_s: ModQMatrix | None = None
         self.sigma: SignalMatrix | None = None
@@ -313,7 +327,7 @@ class ServerSession:
         e_s = gaussian_matrix_from(p, self._exp)
         e_s_prime = gaussian_matrix_from(p, self._exp)
         variants = self._exp.read_bits(p.n * p.n)
-        self._exp = None  # its seed and squeezed bytes determine S_S, E_S, E_S' and the variants
+        self._exp = None  # its key and squeezed bytes determine S_S, E_S, E_S' and the variants
         self.b_c = b_c
         self.b_s = v + shared_basis(p) @ s_s + e_s.scale2()
         m_s = server_key_material(v, b_c, s_s, e_s_prime)

@@ -53,9 +53,17 @@ def test_login_wrong_password(server, toy):
     assert code == cli.EXIT_AUTH_FAILED and digest is None
 
 
-def test_login_unknown_id_rejected_via_decoy(server, toy):
-    code, digest = cli.run_login(toy, b"nobody", b"pw", addr(server))
-    assert code == cli.EXIT_AUTH_FAILED and digest is None
+def test_login_unknown_id_rejected_via_decoy(server, toy, monkeypatch):
+    from lsrp import srp_core
+
+    # the decoy verifier is derived when the server starts, not per unknown id
+    calls = []
+    uniform_matrix = srp_core.uniform_matrix
+    monkeypatch.setattr(srp_core, "uniform_matrix", lambda *a: calls.append(a) or uniform_matrix(*a))
+    for client_id in (b"nobody", b"nobody-else"):
+        code, digest = cli.run_login(toy, client_id, b"pw", addr(server))
+        assert code == cli.EXIT_AUTH_FAILED and digest is None
+    assert calls == []
 
 
 def test_login_fresh_keys_per_session(server, toy):

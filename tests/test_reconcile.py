@@ -31,13 +31,21 @@ def test_extract_bit_examples():
 
 def test_extract_matches_scalar_reference():
     rng = np.random.default_rng(7)
+    cases = []
     for q in (13, 41):
-        m = ModQMatrix(4, q, rng.integers(0, q, size=(4, 4)))
-        s = BitMatrix(4, rng.integers(0, 2, size=(4, 4)))
+        cases.append((q, rng.integers(0, q, size=(4, 4)), rng.integers(0, 2, size=(4, 4))))
+    for q in (1153, 65537, 2 ** 25 - 39, 2 ** 32 - 5):
+        # 0, q-1, (q-1)/2 and its neighbours, each under both hint bits
+        half = (q - 1) // 2
+        edges = [0, 1, half - 1, half, half + 1, half + 2, q - 2, q - 1]
+        cases.append((q, np.array(edges + edges).reshape(4, 4), np.repeat([0, 1], 8).reshape(4, 4)))
+    for q, entries, bits in cases:
+        m = ModQMatrix(4, q, entries)
+        s = BitMatrix(4, bits)
         got = extract(m, s)
         for i in range(4):
             for j in range(4):
-                assert got.bits[i, j] == extract_bit(int(m.entries[i, j]), int(s.bits[i, j]), q)
+                assert got.bits[i, j] == extract_bit(int(m.entries[i, j]), int(s.bits[i, j]), q), q
 
 
 def test_extract_zero_matrix():

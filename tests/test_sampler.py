@@ -10,36 +10,42 @@ import pytest
 from lsrp.errors import EmptyField
 from lsrp.modq import ModQMatrix
 from lsrp.params import ProtocolParams
-from lsrp.sampler import (GaussianTable, StreamExpander, derive_registration_seed, fresh_salt,
-                          gaussian_ints, gaussian_matrix, gaussian_matrix_from, uniform_ints,
-                          uniform_matrix)
+from lsrp import sampler
+from lsrp.sampler import (GaussianTable, SessionStream, StreamExpander, derive_registration_seed,
+                          fresh_salt, gaussian_ints, gaussian_matrix, gaussian_matrix_from,
+                          uniform_ints, uniform_matrix)
 
 LAMBDA = b"\x01" * 32
+STREAMS = (StreamExpander, SessionStream)
 
 
 # --- stream expander -------------------------------------------------------
 
 def test_expander_deterministic_and_prefix_consistent():
-    a = StreamExpander(b"t", b"s")
-    b = StreamExpander(b"t", b"s")
-    chunks = a.read(5) + a.read(7) + a.read(100)
-    assert chunks == b.read(112)
+    for stream in STREAMS:
+        a = stream(b"t", b"s")
+        b = stream(b"t", b"s")
+        chunks = a.read(5) + a.read(7) + a.read(100)
+        assert chunks == b.read(112), stream
 
 
 def test_expander_tag_and_seed_separate_streams():
-    base = StreamExpander(b"t", b"s").read(64)
-    assert StreamExpander(b"u", b"s").read(64) != base
-    assert StreamExpander(b"t", b"x").read(64) != base
-    # length prefixing: ("ab", "c...") vs ("a", "bc...") must differ
-    assert StreamExpander(b"ab", b"c" + b"s").read(64) != StreamExpander(b"a", b"bc" + b"s").read(64)
+    for stream in STREAMS:
+        base = stream(b"t", b"s").read(64)
+        assert stream(b"u", b"s").read(64) != base
+        assert stream(b"t", b"x").read(64) != base
+        # length prefixing: ("ab", "c...") vs ("a", "bc...") must differ
+        assert stream(b"ab", b"c" + b"s").read(64) != stream(b"a", b"bc" + b"s").read(64)
+    assert SessionStream(b"t", b"s").read(64) != StreamExpander(b"t", b"s").read(64)
 
 
 @pytest.mark.parametrize("reserve", [1, 100, 4096, 10_000])
 def test_expander_reserve_gives_the_same_bytes(reserve):
-    for splits in [(5, 7, 100), (reserve,), (reserve - 1, 1, 1), (reserve, 3 * reserve + 17)]:
-        exp = StreamExpander(b"t", b"s", reserve=reserve)
-        got = b"".join(exp.read(k) for k in splits)
-        assert got == StreamExpander(b"t", b"s").read(sum(splits)), splits
+    for stream in STREAMS:
+        for splits in [(5, 7, 100), (reserve,), (reserve - 1, 1, 1), (reserve, 3 * reserve + 17)]:
+            exp = stream(b"t", b"s", reserve=reserve)
+            got = b"".join(exp.read(k) for k in splits)
+            assert got == stream(b"t", b"s").read(sum(splits)), (stream, splits)
 
 
 def _prefix(tag: bytes, seed: bytes) -> bytes:
@@ -56,40 +62,72 @@ def test_expander_squeeze_equals_hashlib(length):
 
 @pytest.mark.parametrize("reserve", [136, 4096])
 def test_expander_splits_across_and_past_reserve_equal_hashlib(reserve):
-    want = hashlib.shake_256(_prefix(b"tag", b"seed")).digest(5 * reserve)
-    for splits in [(reserve - 3, 6), (reserve, 1), (1, reserve, 2 * reserve), (2, 5 * reserve - 2)]:
-        exp = StreamExpander(b"tag", b"seed", reserve=reserve)
-        got = [exp.read(k) for k in splits]
-        assert all(type(chunk) is bytes for chunk in got)
-        assert b"".join(got) == want[:sum(splits)], splits
+    shake = hashlib.shake_256(_prefix(b"tag", b"seed"))
+    # a session stream is ChaCha20 under the first 32 bytes of the same SHAKE-256 stream
+    chacha = sampler._chacha20(shake.digest(32), 5 * reserve).tobytes()
+    for stream, want in ((StreamExpander, shake.digest(5 * reserve)), (SessionStream, chacha)):
+        for splits in [(reserve - 3, 6), (reserve, 1), (1, reserve, 2 * reserve), (2, 5 * reserve - 2)]:
+            exp = stream(b"tag", b"seed", reserve=reserve)
+            got = [exp.read(k) for k in splits]
+            assert all(type(chunk) is bytes for chunk in got)
+            assert b"".join(got) == want[:sum(splits)], (stream, splits)
+
+
+def test_chacha20_keystream_matches_rfc8439_vectors():
+    """RFC 8439 A.1 test vectors #1 and #2: zero key, zero nonce, block counters 0 and 1."""
+    stream = sampler._chacha20(bytes(32), 128).tobytes()
+    assert stream[:64].hex() == (
+        "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+        "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586")
+    assert stream[64:].hex() == (
+        "9f07e7be5551387a98ba977c732d080dcb0f29a048e3656912c6533e32ee7aed"
+        "29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f")
+
+
+@pytest.mark.parametrize("chunk", [64, 100])
+def test_chacha20_chunked_updates_give_one_keystream(chunk, monkeypatch):
+    key = bytes(range(32))
+    whole = sampler._chacha20(key, 1000)
+    monkeypatch.setattr(sampler, "_CHACHA20_CHUNK", chunk)
+    assert np.array_equal(sampler._chacha20(key, 1000), whole)
+
+
+def test_session_stream_keeps_the_key_not_the_seed():
+    seed = bytes(range(1, 33))
+    stream = SessionStream(b"LSRP-client", seed)
+    stream.read(10)
+    assert not hasattr(stream, "_prefix")
+    assert not any(isinstance(v, bytes) and seed in v for v in vars(stream).values())
+    assert len(stream._key) == 32
 
 
 def test_expander_squeeze_releases_the_gil():
     """A 32 MiB squeeze leaves the interpreter to other threads while it runs."""
-    started = threading.Event()
-    span: list[float] = []
+    for stream in STREAMS:
+        started = threading.Event()
+        span: list[float] = []
 
-    def squeeze() -> None:
-        span.append(time.perf_counter())
-        started.set()
-        StreamExpander(b"gil", b"s", reserve=32 << 20).read(1)
-        span.append(time.perf_counter())
+        def squeeze() -> None:
+            span.append(time.perf_counter())
+            started.set()
+            stream(b"gil", b"s", reserve=32 << 20).read(1)
+            span.append(time.perf_counter())
 
-    worker = threading.Thread(target=squeeze)
-    worker.start()
-    assert started.wait(timeout=30)
-    longest = 0.0
-    last = span[0]  # a squeeze holding the GIL shows as the wait before the first iteration
-    alive = True
-    while alive:  # at least one iteration, even if the worker has already finished
-        alive = worker.is_alive()
-        now = time.perf_counter()
-        longest = max(longest, now - last)
-        last = now
-    worker.join(timeout=30)
-    assert not worker.is_alive() and len(span) == 2
-    duration = span[1] - span[0]
-    assert longest < duration / 2, (longest, duration)
+        worker = threading.Thread(target=squeeze)
+        worker.start()
+        assert started.wait(timeout=30)
+        longest = 0.0
+        last = span[0]  # a squeeze holding the GIL shows as the wait before the first iteration
+        alive = True
+        while alive:  # at least one iteration, even if the worker has already finished
+            alive = worker.is_alive()
+            now = time.perf_counter()
+            longest = max(longest, now - last)
+            last = now
+        worker.join(timeout=30)
+        assert not worker.is_alive() and len(span) == 2
+        duration = span[1] - span[0]
+        assert longest < duration / 2, (stream, longest, duration)
 
 
 def test_unresolved_libcrypto_fails_with_a_clear_import_error(monkeypatch):
@@ -295,11 +333,11 @@ def test_gaussian_moments_match_density():
     w = np.exp(-math.pi * xs.astype(float) ** 2 / tau ** 2)
     true_var = float((xs ** 2 * w).sum() / w.sum())
 
-    exp = StreamExpander(b"stats", LAMBDA)
     table = GaussianTable.build(tau, 10)
-    samples = gaussian_ints(exp, 10 ** 6, table).astype(float)
-    assert -0.02 <= samples.mean() <= 0.02
-    assert abs(samples.var() - true_var) / true_var < 0.03
+    for stream in STREAMS:
+        samples = gaussian_ints(stream(b"stats", LAMBDA), 10 ** 6, table).astype(float)
+        assert -0.02 <= samples.mean() <= 0.02, stream
+        assert abs(samples.var() - true_var) / true_var < 0.03, stream
 
 
 # --- seed derivation and salts --------------------------------------------

@@ -11,10 +11,10 @@ from lsrp.harness import run_handshake
 from lsrp.modq import ModQMatrix
 from lsrp.params import validate
 from lsrp.reconcile import BitMatrix
-from lsrp.sampler import StreamExpander
+from lsrp.sampler import SessionStream, StreamExpander
 from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerState,
                            client_confirmation_tag, client_key_material, compute_verifier,
-                           decoy_record, kdf, register, registration_matrices,
+                           decoy_record, decoy_verifier, kdf, register, registration_matrices,
                            server_confirmation_tag, server_key_material, shared_basis,
                            transcript_digest)
 
@@ -138,7 +138,7 @@ def test_session_keys_independent_across_handshakes(toy):
 
 @pytest.mark.parametrize("profile", ["toy", "params"])
 def test_draw_budgets_are_exact(profile, request, monkeypatch):
-    """Every protocol stream reads exactly its reserve, so SHAKE digests it once.
+    """Every protocol stream reads exactly its reserve, so it is squeezed once.
 
     A later extra draw would silently re-digest its stream from byte 0;
     it fails here instead.
@@ -148,12 +148,15 @@ def test_draw_budgets_are_exact(profile, request, monkeypatch):
     p = request.getfixturevalue(profile)
     opened = []
 
-    class Recording(StreamExpander):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            opened.append((args[0], self))
+    def recording(stream):
+        class Recording(stream):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append((args[0], self))
+        return Recording
 
-    monkeypatch.setattr(srp_core, "StreamExpander", Recording)
+    monkeypatch.setattr(srp_core, "StreamExpander", recording(StreamExpander))
+    monkeypatch.setattr(srp_core, "SessionStream", recording(SessionStream))
     rec = register(p, b"alice", b"pw", salt=SALT)
     _, _, ok = run_handshake(p, rec, b"alice", b"pw",
                              client_seed=b"\x01" * 32, server_seed=b"\x02" * 32)
@@ -212,6 +215,31 @@ def test_each_seeded_stream_is_dropped_after_its_last_draw(toy):
     assert c._exp is None and c._e_c_prime is not None  # E_C' waits for finish
     s.respond(cid, b_c)
     assert s._exp is None
+
+
+@pytest.mark.parametrize("shake_side", ["client", "server"])
+def test_shake_ephemerals_interoperate_with_session_streams(toy, shake_side, monkeypatch):
+    """A party whose ephemerals come from SHAKE-256 (the draws before ChaCha20
+    session streams) completes and confirms against one that uses them: no
+    peer reproduces the other's ephemeral draws, so the wire is unchanged."""
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    with monkeypatch.context() as m:
+        m.setattr(srp_core, "SessionStream", StreamExpander)
+        if shake_side == "client":
+            c = ClientSession(toy, b"alice", b"pw", seed=b"\x06" * 32)
+        else:
+            s = ServerSession(toy, rec, seed=b"\x07" * 32)
+    if shake_side == "client":
+        s = ServerSession(toy, rec, seed=b"\x07" * 32)
+    else:
+        c = ClientSession(toy, b"alice", b"pw", seed=b"\x06" * 32)
+    assert {type(c._exp), type(s._exp)} == {StreamExpander, SessionStream}
+    cid, b_c = c.hello()
+    salt, b_s, sigma = s.respond(cid, b_c)
+    key = c.finish(salt, b_s, sigma)
+    m2 = s.verify_client(c.confirmation())
+    assert c.verify_server(m2)
+    assert key == s.session_key and s.state is ServerState.COMPLETE
 
 
 def test_challenge_at_another_modulus_fails_the_client_session(toy):
@@ -339,7 +367,11 @@ def test_tags_from_independent_sessions_differ(toy):
 
 
 def test_decoy_record_deterministic(params):
-    a = decoy_record(params, b"ghost", b"\xaa" * 32)
-    b = decoy_record(params, b"ghost", b"\xaa" * 32)
-    assert a.salt == b.salt and a.verifier == b.verifier
-    assert decoy_record(params, b"ghost2", b"\xaa" * 32).salt != a.salt
+    secret = b"\xaa" * 32
+    v = decoy_verifier(params, secret)
+    assert v == decoy_verifier(params, secret) and v != decoy_verifier(params, b"\xab" * 32)
+    a = decoy_record(params, b"ghost", secret, v)
+    b = decoy_record(params, b"ghost", secret, v)
+    assert a.salt == b.salt and a.verifier == b.verifier == v
+    assert decoy_record(params, b"ghost2", secret, v).salt != a.salt
+    assert decoy_record(params, b"ghost", b"\xab" * 32, v).salt != a.salt
