@@ -41,8 +41,6 @@ def load_params(args) -> ProtocolParams:
         "n": args.n,
         "q": args.q,
         "tau": args.tau,
-        "tail_cutoff": args.tail_cutoff,
-        "salt_len": args.salt_len,
         "lambda_seed": parse_hex(args.lambda_seed, "--lambda-seed"),
     }
     text = read_file(args.config, "--config", "r") if args.config else ""
@@ -187,7 +185,7 @@ def _login_exchange(sock, p: ProtocolParams, client_id: bytes, password: bytes,
     session = ClientSession(p, client_id, password)
     cid, b_c = session.hello()
     wire.write_frame(sock, wire.Hello(cid, b_c), deadline)
-    reply = wire.read_frame(sock, deadline, wire.max_challenge_body(p.n, p.salt_len))
+    reply = wire.read_frame(sock, deadline, wire.max_challenge_body(p.n))
     if isinstance(reply, wire.ErrorMessage):
         log.error("server error %d: %s", reply.code, reply.text.decode(errors="replace"))
         return EXIT_AUTH_FAILED, None
@@ -279,8 +277,14 @@ def cmd_lemma_oracle(args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own exit code, 2, would read as EXIT_AUTH_FAILED
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="lsrp", description=__doc__)
+    top = _Parser(prog="lsrp", description=__doc__)
     top.add_argument("-v", "--verbose", action="store_true")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -291,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int)
         sp.add_argument("--q", type=int)
         sp.add_argument("--tau", type=float)
-        sp.add_argument("--tail-cutoff", type=int, dest="tail_cutoff")
-        sp.add_argument("--salt-len", type=int, dest="salt_len")
         sp.add_argument("--lambda-seed", dest="lambda_seed", help="32-byte hex seed")
 
     sp = sub.add_parser("register", help="create and store a credential record")

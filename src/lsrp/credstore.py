@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import LsrpError
-from .params import ProtocolParams
+from .params import SALT_LEN, ProtocolParams
 from .srp_core import VerifierRecord
 from . import wire
 
@@ -65,6 +65,8 @@ class CredentialStore:
                 raise CorruptRecord(f"non-register frame at offset {off}", store)
             if msg.verifier.n != params.n or msg.verifier.q != params.q:
                 raise CorruptRecord(f"record at offset {off} does not match store parameters", store)
+            if len(msg.salt) != SALT_LEN:
+                raise CorruptRecord(f"record at offset {off} has a {len(msg.salt)}-byte salt", store)
             store._index[msg.client_id] = VerifierRecord(msg.client_id, msg.salt, msg.verifier)
             off = end
         return store

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidTrialCount, VerificationFailed
 from .modq import ModQMatrix, reduce_array
-from .params import EvenModulus, ModulusTooSmall, ProtocolParams
+from .params import SALT_LEN, EvenModulus, ModulusTooSmall, ProtocolParams
 from .reconcile import extract, extract_bits, hint_bits, shift
 from .sampler import StreamExpander, gaussian_matrix_from
 from .srp_core import (ClientSession, ServerSession, VerifierRecord, client_confirmation_tag,
@@ -106,7 +106,7 @@ def simulate(p: ProtocolParams, trials: int, instrument: bool = False,
         master_seed = DEFAULT_MASTER_SEED
     start = time.monotonic()
 
-    salt = StreamExpander(b"LSRP-sim-salt", master_seed).read(p.salt_len)
+    salt = StreamExpander(b"LSRP-sim-salt", master_seed).read(SALT_LEN)
     record = register(p, client_id, password, salt=salt)
 
     agreements = 0

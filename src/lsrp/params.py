@@ -1,8 +1,11 @@
 """Protocol parameter set governing every other module.
 
-A parameter set fixes the matrix dimension n, the odd modulus q, the
-discrete Gaussian parameter tau, the public 32-byte basis seed, the
-Gaussian tail cutoff and the salt length.  The correctness condition
+A parameter set fixes the matrix dimension n (at most MAX_N, so that a
+Challenge fits `wire.MAX_BODY`), the odd modulus q, the discrete Gaussian
+parameter tau and the public 32-byte basis seed.  The Gaussian tail cutoff
+and the salt length are constants, not parameters: the client must rebuild
+V from tau and the salt bit for bit, and a decoy's salt must look like a
+real one.  The correctness condition
 12*(tau*sqrt(n))**2 <= q/4 - 2 ties tau and n to q; parameter sets that
 violate it are admitted only through an explicit unsafe flag (needed for
 exhaustive small-q oracle tests).  q lies below 2^32 (`modq.Q_LIMIT`).  With no
@@ -18,6 +21,9 @@ from .errors import LsrpError
 from .modq import Q_LIMIT
 
 LAMBDA_LEN = 32
+TAIL_CUTOFF = 10  # Gaussian support is |x| <= TAIL_CUTOFF * tau
+SALT_LEN = 16
+MAX_N = 4033  # largest n whose Challenge, 4n^2 + ceil(n^2/8) + 36 bytes, fits wire.MAX_BODY
 DEFAULT_LAMBDA_SEED = hashlib.shake_256(b"LSRP default public basis").digest(LAMBDA_LEN)
 
 
@@ -51,8 +57,11 @@ class ProtocolParams:
     q: int
     tau: float
     lambda_seed: bytes
-    tail_cutoff: int = 10
-    salt_len: int = 16
+
+    @property
+    def salt_len(self) -> int:
+        """SALT_LEN; kept only for the benchmark scripts, which read `p.salt_len`."""
+        return SALT_LEN
 
     @property
     def tolerance(self) -> int:
@@ -72,14 +81,10 @@ def validate(p: ProtocolParams, allow_unsafe: bool = False) -> ProtocolParams:
     violated (agreement is then not guaranteed); everything structural is
     still enforced.
     """
-    if p.n < 1:
-        raise ParamError(f"dimension must be positive, got {p.n}")
+    if not 1 <= p.n <= MAX_N:
+        raise ParamError(f"dimension must lie in [1, {MAX_N}], got {p.n}")
     if not math.isfinite(p.tau) or p.tau <= 0:
         raise ParamError(f"tau must be positive and finite, got {p.tau}")
-    if p.tail_cutoff < 1:
-        raise ParamError(f"tail_cutoff must be positive, got {p.tail_cutoff}")
-    if p.salt_len < 1:
-        raise ParamError(f"salt_len must be positive, got {p.salt_len}")
     if len(p.lambda_seed) != LAMBDA_LEN:
         raise ParamError(f"lambda_seed must be {LAMBDA_LEN} bytes, got {len(p.lambda_seed)}")
     if p.q % 2 == 0:
@@ -92,10 +97,8 @@ def validate(p: ProtocolParams, allow_unsafe: bool = False) -> ProtocolParams:
         raise ToleranceViolated(
             f"12*tau^2*n = {p.noise_bound:g} exceeds floor(q/4)-2 = {p.tolerance}"
         )
-    if p.tail_cutoff * p.tau >= p.q / 2:
-        raise CutoffTooLarge(
-            f"tail_cutoff*tau = {p.tail_cutoff * p.tau:g} not below q/2 = {p.q / 2:g}"
-        )
+    if TAIL_CUTOFF * p.tau >= p.q / 2:
+        raise CutoffTooLarge(f"TAIL_CUTOFF*tau = {TAIL_CUTOFF * p.tau:g} not below q/2 = {p.q / 2:g}")
     return p
 
 
@@ -109,7 +112,7 @@ def default_params(lambda_seed: bytes = DEFAULT_LAMBDA_SEED) -> ProtocolParams:
     return validate(ProtocolParams(n=128, q=65537, tau=3.0, lambda_seed=lambda_seed))
 
 
-_CONFIG_KEYS = {"n", "q", "tau", "tail_cutoff", "salt_len", "lambda_seed"}
+_CONFIG_KEYS = {"n", "q", "tau", "lambda_seed"}
 
 
 def parse_config(text: str) -> dict:

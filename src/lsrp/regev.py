@@ -44,7 +44,6 @@ class RegevParams:
     m: int
     p: int
     alpha: float
-    tail_cutoff: int = 10
 
     @property
     def tau(self) -> float:
@@ -97,7 +96,7 @@ def _expander(seed: bytes | None, tag: bytes) -> StreamExpander:
 def regev_keygen(rp: RegevParams, seed: bytes | None = None) -> RegevKeys:
     validate_regev(rp)
     exp = _expander(seed, b"LSRP-regev-keygen")
-    table = GaussianTable.build(rp.tau, rp.tail_cutoff)
+    table = GaussianTable.build(rp.tau)
     secret = uniform_ints(exp, rp.n, rp.p)
     pub_a = uniform_ints(exp, rp.m * rp.n, rp.p).reshape(rp.m, rp.n)
     noise = gaussian_ints(exp, rp.m, table)

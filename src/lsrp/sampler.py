@@ -1,4 +1,4 @@
-"""Seeded and fresh sampling of uniform and discrete-Gaussian matrices.
+"""Seeded sampling of uniform and discrete-Gaussian matrices, and fresh salts.
 
 Seeded randomness flows through two kinds of stream.  A `StreamExpander`
 is SHAKE-256(tag, seed), so any (tag, seed) pair yields the same bytes on
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import EmptyField
 from .modq import ModQMatrix, fold_signed
-from .params import ProtocolParams
+from .params import SALT_LEN, TAIL_CUTOFF, ProtocolParams
 
 _U64_MAX = 2 ** 64 - 1
 _PREFIX_BITS = 12
@@ -195,36 +195,34 @@ class SessionStream(StreamExpander):
 class GaussianTable:
     """Cumulative 64-bit table for the integer Gaussian with weight exp(-pi x^2 / tau^2).
 
-    Support is the integers in [-cutoff*tau, cutoff*tau]; the final
+    Support is the integers in [-TAIL_CUTOFF*tau, TAIL_CUTOFF*tau]; the final
     cumulative weight is pinned to 2^64 - 1 and the sequence is strictly
     increasing (tail increments are clamped up to 1 so lookups stay
     well-defined; the distortion is far below 2^-64 per point).
 
     Truncation error: the discarded mass is bounded by the geometric-decay
     tail estimate sum_{|x| > c} exp(-pi x^2 / tau^2) < 2 exp(-pi c^2 / tau^2)
-    / (1 - exp(-pi (2c+1) / tau^2)) with c = cutoff * tau.  For cutoff 10
+    / (1 - exp(-pi (2c+1) / tau^2)) with c = TAIL_CUTOFF * tau = 10 tau;
     the exponent is -100 pi, so the statistical distance to the ideal
     integer Gaussian is below 2^-453, far under the 2^-100 target; no
     runtime test is needed.
     """
 
     tau: float
-    cutoff: int
     support: np.ndarray
     cdf: np.ndarray
     first: np.ndarray  # per 12-bit prefix: how many cdf entries lie below its bucket
     mixed: np.ndarray  # per 12-bit prefix: whether a cdf entry lies inside its bucket
 
     @classmethod
-    def build(cls, tau: float, cutoff: int) -> "GaussianTable":
-        c = int(math.floor(cutoff * tau))
+    def build(cls, tau: float) -> "GaussianTable":
+        c = int(math.floor(TAIL_CUTOFF * tau))
         support = np.arange(-c, c + 1, dtype=np.int64)
         cdf = np.array(_scaled_cumulative_weights(tau, c), dtype=np.uint64)
         per_bucket = np.bincount((cdf >> _PREFIX_SHIFT).astype(np.intp),
                                  minlength=1 << _PREFIX_BITS)
         first = (np.cumsum(per_bucket) - per_bucket).astype(np.intp)
-        return cls(tau=tau, cutoff=cutoff, support=support, cdf=cdf,
-                   first=first, mixed=per_bucket > 0)
+        return cls(tau=tau, support=support, cdf=cdf, first=first, mixed=per_bucket > 0)
 
     def sample(self, draws: np.ndarray) -> np.ndarray:
         """Map uniform 64-bit draws to signed support values (smallest i with cdf[i] >= u).
@@ -240,8 +238,8 @@ class GaussianTable:
         return self.support[idx]
 
 
-def _scaled_cumulative_weights(tau: float, c: int, prec: int = 300) -> list[int]:
-    """Integer cumulative weights rounded from `prec`-bit reals.
+def _scaled_cumulative_weights(tau: float, c: int) -> list[int]:
+    """Integer cumulative weights rounded from 300-bit reals.
 
     At 300 bits of working precision the rounding to the 64-bit scale is
     exact barring ties within ~2^-230 of a boundary; a higher-precision
@@ -249,7 +247,7 @@ def _scaled_cumulative_weights(tau: float, c: int, prec: int = 300) -> list[int]
     """
     import mpmath
 
-    with mpmath.workprec(prec):
+    with mpmath.workprec(300):
         t2 = mpmath.mpf(tau) ** 2
         weights = [mpmath.exp(-mpmath.pi * (x * x) / t2) for x in range(-c, c + 1)]
         total = mpmath.fsum(weights)
@@ -271,11 +269,9 @@ def _scaled_cumulative_weights(tau: float, c: int, prec: int = 300) -> list[int]
 
 
 def _table_for(p: ProtocolParams) -> GaussianTable:
-    key = (p.tau, p.tail_cutoff)
-    tbl = _TABLE_CACHE.get(key)
+    tbl = _TABLE_CACHE.get(p.tau)
     if tbl is None:
-        tbl = GaussianTable.build(p.tau, p.tail_cutoff)
-        _TABLE_CACHE[key] = tbl
+        tbl = _TABLE_CACHE[p.tau] = GaussianTable.build(p.tau)
     return tbl
 
 
@@ -325,25 +321,16 @@ def gaussian_matrix_bytes(p: ProtocolParams) -> int:
 
 
 def gaussian_matrix_from(p: ProtocolParams, expander: StreamExpander) -> ModQMatrix:
-    """Next n x n Gaussian matrix drawn from an already-open expander stream.
+    """Next n x n matrix with entries from the integer Gaussian D_{Z,tau},
+    drawn from an already-open stream.
 
-    Kept separate from gaussian_matrix so several matrices can be drawn in
-    a fixed order from one stream (registration draws the secret then the
-    noise from the same seed).  The signed draws, |x| <= tail_cutoff*tau
-    < q/2, are wrapped to residues in place.
+    Several matrices can be drawn in a fixed order from one stream
+    (registration draws the secret then the noise from the same seed).
+    The signed draws, |x| <= TAIL_CUTOFF*tau < q/2, are wrapped to residues
+    in place.
     """
     signed = gaussian_ints(expander, p.n * p.n, _table_for(p))
     return ModQMatrix(p.n, p.q, fold_signed(signed, p.q).reshape(p.n, p.n))
-
-
-def gaussian_matrix(p: ProtocolParams, tag: bytes, seed: bytes | None = None) -> ModQMatrix:
-    """n x n matrix with entries from the integer Gaussian D_{Z,tau} reduced mod q.
-
-    Deterministic when a seed is supplied; fresh entropy otherwise.
-    """
-    if seed is None:
-        seed = secrets.token_bytes(32)
-    return gaussian_matrix_from(p, StreamExpander(tag, seed))
 
 
 GEN_TAG = b"LSRP-gen"
@@ -366,6 +353,6 @@ def derive_registration_seed(client_id: bytes, salt: bytes, password: bytes) -> 
     return shake.digest(32)
 
 
-def fresh_salt(p: ProtocolParams) -> bytes:
-    """salt_len bytes from the OS CSPRNG."""
-    return secrets.token_bytes(p.salt_len)
+def fresh_salt() -> bytes:
+    """SALT_LEN bytes from the OS CSPRNG."""
+    return secrets.token_bytes(SALT_LEN)

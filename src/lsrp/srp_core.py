@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, EmptyField, InvalidState, LsrpError, VerificationFailed
 from .modq import ModQMatrix
-from .params import ProtocolParams
+from .params import SALT_LEN, ParamError, ProtocolParams
 from .reconcile import KeyBits, SignalMatrix, extract, signal
 from .sampler import (SessionStream, StreamExpander, derive_registration_seed, fresh_salt,
                       gaussian_matrix_bytes, gaussian_matrix_from, uniform_matrix)
@@ -115,14 +115,16 @@ def register(p: ProtocolParams, client_id: bytes, password: bytes,
 
     The registration seed and the derived secret matrices are dropped
     before returning; only the record leaves this function.  An explicit
-    salt may be injected for deterministic tests.
+    salt of SALT_LEN bytes may be injected for deterministic tests.
     """
     if not client_id:
         raise EmptyField("id must be nonempty")
     if not password:
         raise EmptyField("password must be nonempty")
     if salt is None:
-        salt = fresh_salt(p)
+        salt = fresh_salt()
+    elif len(salt) != SALT_LEN:
+        raise ParamError(f"salt must be {SALT_LEN} bytes, got {len(salt)}")
     gamma = derive_registration_seed(client_id, salt, password)
     s_i, e_i = registration_matrices(p, gamma)
     v = compute_verifier(shared_basis(p), s_i, e_i)
@@ -150,7 +152,7 @@ def decoy_record(p: ProtocolParams, client_id: bytes, server_secret: bytes,
     """
     shake = hashlib.shake_256()
     shake.update(b"LSRP-decoy" + len(client_id).to_bytes(4, "big") + client_id + server_secret)
-    return VerifierRecord(client_id=client_id, salt=shake.digest(p.salt_len), verifier=verifier)
+    return VerifierRecord(client_id=client_id, salt=shake.digest(SALT_LEN), verifier=verifier)
 
 
 def kdf(k: KeyBits, lambda_seed: bytes) -> bytes:

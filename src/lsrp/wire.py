@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import LsrpError
 from .modq import Q_LIMIT, ModQMatrix
+from .params import MAX_N, SALT_LEN
 from .reconcile import SignalMatrix
 
 MAGIC = b"LSRP"
@@ -32,7 +33,6 @@ VERSION = 2
 HEADER_LEN = 10
 TAG_LEN = 32
 MAX_BODY = 1 << 26  # generous cap; n=1024 matrices fit with room to spare
-MAX_MATRIX_N = 4096
 MAX_ID_LEN = 1024  # allowance for the client id in max_hello_body
 MAX_ERROR_TEXT = 256  # longest error text a server sends
 MAX_ERROR_BODY = 1 + 4 + MAX_ERROR_TEXT  # code, text length field, text
@@ -171,7 +171,7 @@ class _Cursor:
 def _read_matrix(cur: _Cursor) -> ModQMatrix:
     n = cur.u32()
     q = cur.u64()
-    if n < 1 or n > MAX_MATRIX_N:
+    if n < 1 or n > MAX_N:
         raise FieldOutOfRange(f"matrix dimension {n} out of range")
     if q < 2 or q >= Q_LIMIT:
         raise FieldOutOfRange(f"modulus {q} out of range")
@@ -184,7 +184,7 @@ def _read_matrix(cur: _Cursor) -> ModQMatrix:
 
 def _read_signal(cur: _Cursor) -> SignalMatrix:
     n = cur.u32()
-    if n < 1 or n > MAX_MATRIX_N:
+    if n < 1 or n > MAX_N:
         raise FieldOutOfRange(f"signal dimension {n} out of range")
     nbytes = (n * n + 7) // 8
     raw = np.frombuffer(cur.take(nbytes), dtype=np.uint8)
@@ -279,11 +279,11 @@ def max_hello_body(n: int) -> int:
     return 4 + MAX_ID_LEN + 12 + 4 * n * n
 
 
-def max_challenge_body(n: int, salt_len: int) -> int:
+def max_challenge_body(n: int) -> int:
     """Longest body a client accepts in answer to its Hello: the Challenge at
-    dimension n (salt with its length field, matrix, n and packed signal bits),
-    or an ErrorMessage carrying up to MAX_ERROR_TEXT bytes."""
-    challenge = 4 + salt_len + 12 + 4 * n * n + 4 + (n * n + 7) // 8
+    dimension n (SALT_LEN salt with its length field, matrix, n and packed
+    signal bits), or an ErrorMessage carrying up to MAX_ERROR_TEXT bytes."""
+    challenge = 4 + SALT_LEN + 12 + 4 * n * n + 4 + (n * n + 7) // 8
     return max(challenge, MAX_ERROR_BODY)
 
 

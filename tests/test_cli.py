@@ -1,3 +1,6 @@
+import argparse
+import pathlib
+import re
 import threading
 import time
 
@@ -171,7 +174,7 @@ def test_trickling_server_is_dropped_at_the_login_deadline(toy, monkeypatch, cap
     from lsrp import wire
 
     def trickle(conn):
-        body_len = wire.max_challenge_body(toy.n, toy.salt_len)
+        body_len = wire.max_challenge_body(toy.n)
         conn.sendall(wire.MAGIC + bytes([wire.VERSION, int(wire.Kind.CHALLENGE)])
                      + body_len.to_bytes(4, "big"))
         try:
@@ -204,7 +207,7 @@ def test_oversized_challenge_is_refused_before_its_body(toy):
         conn.recv(1)  # until the client closes
 
     address, thread = scratch_server(oversized)
-    limit = wire.max_challenge_body(toy.n, toy.salt_len)
+    limit = wire.max_challenge_body(toy.n)
     # reading the body would wait out the 30 s deadline and return EXIT_UNREACHABLE
     with pytest.raises(wire.FieldOutOfRange, match=str(limit)):
         cli.run_login(toy, b"alice", b"pw", address)
@@ -361,3 +364,26 @@ def test_config_file_supplies_params(tmp_path, capsys):
     cfg.write_text("n = 8\nq = 1153\ntau = 1.0\nlambda_seed = {}\n".format(LAMBDA_HEX))
     assert cli.main(["simulate", "--config", str(cfg), "--trials", "2"]) == cli.EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--bogus", "--salt-len"])
+def test_usage_error_exits_1_not_the_auth_failed_code(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["login", "--id", "alice", flag, "32"])
+    assert info.value.code == cli.EXIT_ERROR
+    assert flag in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["login", "--help"])
+    assert info.value.code == cli.EXIT_OK
+
+
+def test_every_flag_in_the_readme_cli_section_is_accepted():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for parser in (top, *sub.choices.values())
+                for action in parser._actions for opt in action.option_strings}
+    assert "--lambda-seed" in named
+    assert named <= accepted, sorted(named - accepted)

@@ -84,6 +84,15 @@ def test_parameter_mismatch_rejected(store, toy):
     assert info.value.store.ids() == [b"alice"]
 
 
+def test_record_with_another_salt_length_rejected(store, toy):
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    with open(store.path, "wb") as fh:
+        fh.write(wire.encode_message(wire.Register(b"bob", b"x" * 32, rec.verifier)))
+    with pytest.raises(CorruptRecord, match="32-byte salt") as info:
+        CredentialStore.open(store.path, toy)
+    assert len(info.value.store) == 0
+
+
 def test_version_1_store_refused(store, toy):
     store.put(register(toy, b"alice", b"pw", salt=SALT))
     with open(store.path, "r+b") as fh:

@@ -2,15 +2,16 @@ import dataclasses
 
 import pytest
 
-from lsrp.params import (DEFAULT_LAMBDA_SEED, CutoffTooLarge, EvenModulus, ModulusTooLarge,
-                         ModulusTooSmall, ParamError, ProtocolParams, ToleranceViolated,
-                         default_params, params_from_config, parse_config, validate)
+from lsrp.params import (DEFAULT_LAMBDA_SEED, MAX_N, SALT_LEN, CutoffTooLarge, EvenModulus,
+                         ModulusTooLarge, ModulusTooSmall, ParamError, ProtocolParams,
+                         ToleranceViolated, default_params, params_from_config, parse_config,
+                         validate)
 
 LAMBDA = b"\x01" * 32
 
 
 def mk(**kw):
-    base = dict(n=128, q=65537, tau=3.0, lambda_seed=LAMBDA, tail_cutoff=10, salt_len=16)
+    base = dict(n=128, q=65537, tau=3.0, lambda_seed=LAMBDA)
     base.update(kw)
     return ProtocolParams(**base)
 
@@ -21,6 +22,7 @@ def test_default_profile_validates():
     # 12 * 9 * 128 = 13824 <= 65537//4 - 2 = 16382
     assert p.noise_bound == 13824
     assert p.tolerance == 16382
+    assert p.salt_len == SALT_LEN == 16
 
 
 def test_even_modulus_rejected():
@@ -36,7 +38,7 @@ def test_tolerance_violation_rejected():
 
 def test_small_modulus_rejected():
     with pytest.raises(ModulusTooSmall):
-        validate(mk(q=7, tau=0.1, tail_cutoff=1))
+        validate(mk(q=7, tau=0.1))
 
 
 def test_modulus_at_or_above_2_32_rejected():
@@ -54,8 +56,16 @@ def test_default_seed_is_fixed_public_constant():
 
 
 def test_cutoff_too_large_rejected():
+    # TAIL_CUTOFF * tau = 25 >= 41/2
     with pytest.raises(CutoffTooLarge):
-        validate(mk(n=2, q=41, tau=1.0, tail_cutoff=25), allow_unsafe=True)
+        validate(mk(n=2, q=41, tau=2.5), allow_unsafe=True)
+
+
+def test_dimension_above_max_n_rejected():
+    # q = 2^31 - 1, tau = 1 meet every other invariant at both sizes
+    validate(mk(n=MAX_N, q=(1 << 31) - 1, tau=1.0))
+    with pytest.raises(ParamError, match="dimension"):
+        validate(mk(n=MAX_N + 1, q=(1 << 31) - 1, tau=1.0))
 
 
 @pytest.mark.parametrize("field,value,exc", [
@@ -63,8 +73,6 @@ def test_cutoff_too_large_rejected():
     ("tau", -1.0, ParamError),
     ("tau", float("nan"), ParamError),
     ("tau", float("inf"), ParamError),
-    ("tail_cutoff", 0, ParamError),
-    ("salt_len", 0, ParamError),
     ("lambda_seed", b"\x01" * 31, ParamError),
 ])
 def test_each_invariant_rejected_independently(field, value, exc):
@@ -99,12 +107,10 @@ def test_config_round_trip():
     n = 16
     q = 12289
     tau = 1.0
-    tail_cutoff = 10
-    salt_len = 8
     lambda_seed = {}
     """.format(LAMBDA.hex())
     p = params_from_config(text)
-    assert (p.n, p.q, p.tau, p.salt_len) == (16, 12289, 1.0, 8)
+    assert (p.n, p.q, p.tau) == (16, 12289, 1.0)
     assert p.lambda_seed == LAMBDA
 
 
@@ -125,3 +131,8 @@ def test_config_rejects_unknown_key_and_bad_hex():
         parse_config("q = 1153\nn = abc")
     with pytest.raises(ParamError, match="tau"):
         parse_config("tau = x")
+
+    # the tail cutoff and the salt length are constants, not keys
+    for line in ("tail_cutoff = 10", "salt_len = 16"):
+        with pytest.raises(ParamError, match="unknown key"):
+            parse_config(line)

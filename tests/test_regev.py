@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lsrp.params import TAIL_CUTOFF
 from lsrp.regev import (InvalidRegevParams, RegevCiphertext, RegevParams, default_regev_params,
                         regev_decrypt, regev_encrypt, regev_keygen, round_trip_accuracy,
                         validate_regev)
@@ -44,7 +45,7 @@ def test_keygen_relation_holds(keys):
     assert keys.secret.shape == (rp.n,) and keys.pub_a.shape == (rp.m, rp.n)
     # b = A s + e mod p with the retained noise vector
     assert np.array_equal(keys.pub_b, (keys.pub_a @ keys.secret + keys.noise) % rp.p)
-    assert np.abs(((keys.noise + rp.p // 2) % rp.p) - rp.p // 2).max() <= rp.tail_cutoff * rp.tau
+    assert np.abs(((keys.noise + rp.p // 2) % rp.p) - rp.p // 2).max() <= TAIL_CUTOFF * rp.tau
 
 
 def test_keygen_deterministic(rp):

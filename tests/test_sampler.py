@@ -9,11 +9,11 @@ import pytest
 
 from lsrp.errors import EmptyField
 from lsrp.modq import ModQMatrix
-from lsrp.params import ProtocolParams
+from lsrp.params import SALT_LEN, TAIL_CUTOFF, ProtocolParams
 from lsrp import sampler
 from lsrp.sampler import (GaussianTable, SessionStream, StreamExpander, derive_registration_seed,
-                          fresh_salt, gaussian_ints, gaussian_matrix, gaussian_matrix_from,
-                          uniform_ints, uniform_matrix)
+                          fresh_salt, gaussian_ints, gaussian_matrix_from, uniform_ints,
+                          uniform_matrix)
 
 LAMBDA = b"\x01" * 32
 STREAMS = (StreamExpander, SessionStream)
@@ -188,6 +188,10 @@ def test_uniform_chi_square_q41():
     assert stat < chi2.ppf(1 - 1e-6, df=q - 1)
 
 
+def gaussian_from_seed(p, tag, seed):
+    return gaussian_matrix_from(p, StreamExpander(tag, seed))
+
+
 def test_committed_golden_vector_file(params):
     """Every `tag seed_hex first8entries_csv` line in the committed vector
     file regenerates; gaussian lines carry centered entries."""
@@ -202,7 +206,7 @@ def test_committed_golden_vector_file(params):
         seed = bytes.fromhex(seed_hex)
         expected = [int(x) for x in csv.split(",")]
         if tag == "G":
-            got = gaussian_matrix(params, b"G", seed).centered().reshape(-1)[:8]
+            got = gaussian_from_seed(params, b"G", seed).centered().reshape(-1)[:8]
         else:
             got = uniform_matrix(params, tag.encode(), seed).entries.reshape(-1)[:8]
         assert list(got) == expected, line
@@ -213,31 +217,27 @@ def test_committed_golden_vector_file(params):
 # --- gaussian sampling -----------------------------------------------------
 
 def test_gaussian_golden_vectors(params):
-    assert list(gaussian_matrix(params, b"G", b"\x01" * 32).centered().reshape(-1)[:8]) == \
+    assert list(gaussian_from_seed(params, b"G", b"\x01" * 32).centered().reshape(-1)[:8]) == \
         [1, 0, 1, 2, 1, -1, 0, -1]
-    assert list(gaussian_matrix(params, b"G", b"\x02" * 32).centered().reshape(-1)[:8]) == \
+    assert list(gaussian_from_seed(params, b"G", b"\x02" * 32).centered().reshape(-1)[:8]) == \
         [-1, 1, 1, -1, 0, 0, 0, 0]
 
 
 def test_gaussian_truncation(params):
-    m = gaussian_matrix(params, b"G", b"\x03" * 32)
-    assert np.abs(m.centered()).max() <= math.ceil(params.tail_cutoff * params.tau)
-
-
-def test_gaussian_fresh_entropy_differs(params):
-    assert gaussian_matrix(params, b"G") != gaussian_matrix(params, b"G")
+    m = gaussian_from_seed(params, b"G", b"\x03" * 32)
+    assert np.abs(m.centered()).max() <= math.ceil(TAIL_CUTOFF * params.tau)
 
 
 def test_gaussian_degenerate_table_is_zero():
-    # support collapses to {0} when cutoff*tau < 1
-    t = GaussianTable.build(0.05, 10)
+    # support collapses to {0} when TAIL_CUTOFF*tau < 1
+    t = GaussianTable.build(0.05)
     assert list(t.support) == [0]
     draws = StreamExpander(b"z", b"s").read_u64(100)
     assert (t.sample(draws) == 0).all()
 
 
 def test_gaussian_table_invariants():
-    t = GaussianTable.build(3.0, 10)
+    t = GaussianTable.build(3.0)
     assert len(t.cdf) == 61
     diffs = np.diff(t.cdf.astype(object))
     assert (np.array(diffs) > 0).all()
@@ -252,7 +252,7 @@ def test_gaussian_table_invariants():
 @pytest.mark.parametrize("tau", [0.05, 1.0, 3.0, 20.0])
 def test_prefix_lookup_matches_binary_search(tau):
     """sample's bucket index agrees with a plain binary search over the whole table."""
-    t = GaussianTable.build(tau, 10)
+    t = GaussianTable.build(tau)
     if tau == 20.0:
         assert len(t.support) > 255  # indices past a uint8
     u64 = 2 ** 64 - 1
@@ -272,7 +272,7 @@ def test_prefix_lookup_matches_binary_search(tau):
 @pytest.mark.parametrize("tau", [1.0, 3.0, 20.0])
 def test_gaussian_matrix_residues_equal_from_signed_for_every_support_value(tau):
     """gaussian_matrix_from wraps each signed draw to the residue from_signed gives."""
-    table = GaussianTable.build(tau, 10)
+    table = GaussianTable.build(tau)
     n = math.isqrt(len(table.support) - 1) + 1
     pad = n * n - len(table.cdf)
     draws = np.concatenate([table.cdf, table.cdf[:pad]])  # cdf[i] draws support[i]
@@ -322,8 +322,8 @@ def oracle_cdf(tau: float, cutoff: int) -> list[int]:
 
 @pytest.mark.parametrize("tau", [1.0, 3.0])
 def test_gaussian_table_matches_high_precision_oracle(tau):
-    t = GaussianTable.build(tau, 10)
-    assert [int(x) for x in t.cdf] == oracle_cdf(tau, 10)
+    t = GaussianTable.build(tau)
+    assert [int(x) for x in t.cdf] == oracle_cdf(tau, TAIL_CUTOFF)
 
 
 def test_gaussian_moments_match_density():
@@ -333,7 +333,7 @@ def test_gaussian_moments_match_density():
     w = np.exp(-math.pi * xs.astype(float) ** 2 / tau ** 2)
     true_var = float((xs ** 2 * w).sum() / w.sum())
 
-    table = GaussianTable.build(tau, 10)
+    table = GaussianTable.build(tau)
     for stream in STREAMS:
         samples = gaussian_ints(stream(b"stats", LAMBDA), 10 ** 6, table).astype(float)
         assert -0.02 <= samples.mean() <= 0.02, stream
@@ -369,7 +369,7 @@ def test_registration_seed_empty_fields():
         derive_registration_seed(b"id", b"", b"pw")
 
 
-def test_fresh_salt(params):
-    a, b = fresh_salt(params), fresh_salt(params)
-    assert len(a) == params.salt_len == 16
+def test_fresh_salt():
+    a, b = fresh_salt(), fresh_salt()
+    assert len(a) == SALT_LEN == 16
     assert a != b

@@ -9,7 +9,7 @@ from lsrp import srp_core, wire
 from lsrp.errors import DimensionMismatch, EmptyField, InvalidState, VerificationFailed
 from lsrp.harness import run_handshake
 from lsrp.modq import ModQMatrix
-from lsrp.params import validate
+from lsrp.params import ParamError, validate
 from lsrp.reconcile import BitMatrix
 from lsrp.sampler import SessionStream, StreamExpander
 from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerState,
@@ -44,6 +44,12 @@ def test_register_golden_digest_wide_modulus(params):
     wide = validate(dataclasses.replace(params, n=256, q=(1 << 25) - 39))
     rec = register(wide, b"alice", b"pw", salt=SALT)
     assert matrix_digest(rec.verifier) == "ed613bebba86dae921f7e3ecc0969087"
+
+
+def test_register_rejects_a_salt_of_another_length(params):
+    for salt in (b"x" * 32, b"x" * 15):
+        with pytest.raises(ParamError, match="salt"):
+            register(params, b"alice", b"pw", salt=salt)
 
 
 def test_register_zero_noise_verifier(params):

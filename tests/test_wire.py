@@ -6,6 +6,7 @@ import pytest
 
 from lsrp import wire
 from lsrp.modq import ModQMatrix
+from lsrp.params import MAX_N, SALT_LEN
 from lsrp.reconcile import SignalMatrix
 
 M1 = ModQMatrix(1, 41, [[7]])
@@ -261,11 +262,25 @@ def test_max_hello_body_fits_the_longest_id():
 
 def test_max_challenge_body_fits_a_challenge_or_the_longest_error():
     error = len(wire.encode_message(wire.ErrorMessage(1, b"e" * wire.MAX_ERROR_TEXT)))
-    for n, salt_len in [(1, 1), (8, 16), (128, 16)]:
+    for n in (1, 8, 128):
         m = ModQMatrix(n, 1153, np.zeros((n, n), dtype=np.int64))
         sig = SignalMatrix(n, np.ones((n, n), dtype=np.uint8))
-        frame = wire.encode_message(wire.Challenge(b"s" * salt_len, m, sig))
-        assert wire.max_challenge_body(n, salt_len) == max(len(frame), error) - wire.HEADER_LEN
+        frame = wire.encode_message(wire.Challenge(b"s" * SALT_LEN, m, sig))
+        assert wire.max_challenge_body(n) == max(len(frame), error) - wire.HEADER_LEN
+
+
+def test_max_n_is_the_largest_dimension_whose_flows_fit_max_body():
+    assert wire.max_challenge_body(MAX_N) <= wire.MAX_BODY < wire.max_challenge_body(MAX_N + 1)
+    assert wire.max_hello_body(MAX_N) <= wire.MAX_BODY
+
+
+def test_matrix_and_signal_above_max_n_rejected():
+    hello = struct.pack(">I", 0) + struct.pack(">IQ", MAX_N + 1, 41)
+    with pytest.raises(wire.FieldOutOfRange, match="dimension"):
+        wire.decode_message(frame_with(int(wire.Kind.HELLO), hello))
+    challenge = struct.pack(">I", 1) + b"s" + wire.encode_matrix(M1) + struct.pack(">I", MAX_N + 1)
+    with pytest.raises(wire.FieldOutOfRange, match="dimension"):
+        wire.decode_message(frame_with(int(wire.Kind.CHALLENGE), challenge))
 
 
 def test_write_frame_refuses_a_passed_deadline():
