@@ -15,7 +15,7 @@ import time
 from .credstore import CredentialStore
 from .errors import LsrpError, VerificationFailed
 from .harness import lemma_violations, simulate
-from .params import ParamError, ProtocolParams, params_from_config
+from .params import DEFAULT_LAMBDA_SEED, ParamError, ProtocolParams, default_params
 from .regev import default_regev_params, round_trip_accuracy
 from .srp_core import ClientSession, ServerSession, decoy_record, decoy_verifier, register
 from . import wire
@@ -37,20 +37,14 @@ def key_digest(sk: bytes) -> str:
 
 
 def load_params(args) -> ProtocolParams:
-    overrides = {
-        "n": args.n,
-        "q": args.q,
-        "tau": args.tau,
-        "lambda_seed": parse_hex(args.lambda_seed, "--lambda-seed"),
-    }
-    text = read_file(args.config, "--config", "r") if args.config else ""
-    return params_from_config(text, overrides, allow_unsafe=args.unsafe_params)
+    """The one parameter set every command runs: `default_params` at --lambda-seed."""
+    return default_params(parse_hex(args.lambda_seed, "--lambda-seed") or DEFAULT_LAMBDA_SEED)
 
 
-def read_file(path: str, flag: str, mode: str):
+def read_file(path: str, flag: str) -> bytes:
     """The whole file a flag names; a file that cannot be opened is a typed error."""
     try:
-        with open(path, mode) as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise LsrpError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from exc
@@ -68,7 +62,7 @@ def parse_hex(text: str | None, flag: str) -> bytes | None:
 
 def read_password(args) -> bytes:
     if args.password_file:
-        return read_file(args.password_file, "--password-file", "rb").rstrip(b"\r\n")
+        return read_file(args.password_file, "--password-file").rstrip(b"\r\n")
     return getpass.getpass("password: ").encode()
 
 
@@ -245,9 +239,6 @@ def cmd_simulate(args) -> int:
     report = simulate(p, args.trials, instrument=args.instrument,
                       wrong_password=args.wrong_password, master_seed=seed)
     print(report.render())
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
     expected_mismatch = args.trials if args.wrong_password else 0
     ok = (report.agreements == (0 if args.wrong_password else args.trials)
           and (report.wrong_password_mismatches or 0) == expected_mismatch)
@@ -289,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", help="parameter file with key = value lines")
-        sp.add_argument("--unsafe-params", action="store_true",
-                        help="admit parameters that violate the correctness bound")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--tau", type=float)
         sp.add_argument("--lambda-seed", dest="lambda_seed", help="32-byte hex seed")
 
     sp = sub.add_parser("register", help="create and store a credential record")
@@ -323,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", help="master seed, hex")
     sp.add_argument("--instrument", action="store_true")
     sp.add_argument("--wrong-password", action="store_true", dest="wrong_password")
-    sp.add_argument("--csv", help="also write the report as CSV")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("regev", help="bit-encryption round-trip validation")

@@ -52,13 +52,6 @@ class HarnessReport:
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
-    def to_csv(self) -> str:
-        keys = ["trials", "agreements", "max_noise_inf_norm", "analytic_bound",
-                "tolerance_bound", "wrong_password_mismatches", "runtime"]
-        vals = [getattr(self, k) for k in keys]
-        fmt = ["" if v is None else (f"{v:.3f}" if isinstance(v, float) else str(v)) for v in vals]
-        return ",".join(keys) + "\n" + ",".join(fmt) + "\n"
-
 
 def _trial_seed(master_seed: bytes, label: bytes, index: int) -> bytes:
     exp = StreamExpander(b"LSRP-sim-" + label + index.to_bytes(8, "big"), master_seed)

@@ -86,10 +86,6 @@ class ModQMatrix:
         return cls(n, q, np.zeros((n, n), dtype=np.int64))
 
     @classmethod
-    def identity(cls, n: int, q: int) -> "ModQMatrix":
-        return cls(n, q, np.eye(n, dtype=np.int64))
-
-    @classmethod
     def from_signed(cls, n: int, q: int, entries) -> "ModQMatrix":
         """Reduce arbitrary signed integer entries into [0, q)."""
         arr = reduce_array(np.asarray(entries, dtype=np.int64), q)
@@ -121,9 +117,6 @@ class ModQMatrix:
         self._check(other)
         diff = np.subtract(self.entries, other.entries)
         return ModQMatrix(self.n, self.q, fold_signed(diff, self.q))
-
-    def __neg__(self) -> "ModQMatrix":
-        return ModQMatrix(self.n, self.q, reduce_array(-self.entries, self.q))
 
     def __matmul__(self, other: "ModQMatrix") -> "ModQMatrix":
         """Exact product mod q; see the module docstring for the exactness bound."""

@@ -7,15 +7,16 @@ and the salt length are constants, not parameters: the client must rebuild
 V from tau and the salt bit for bit, and a decoy's salt must look like a
 real one.  The correctness condition
 12*(tau*sqrt(n))**2 <= q/4 - 2 ties tau and n to q; parameter sets that
-violate it are admitted only through an explicit unsafe flag (needed for
-exhaustive small-q oracle tests).  q lies below 2^32 (`modq.Q_LIMIT`).  With no
-seed given, every command uses the nothing-up-my-sleeve `DEFAULT_LAMBDA_SEED`.
+violate it are admitted only through `validate(allow_unsafe=True)` (needed
+for exhaustive small-q oracle tests).  q lies below 2^32 (`modq.Q_LIMIT`).  Every
+`lsrp` command runs `default_params`; with no seed given, it uses the
+nothing-up-my-sleeve `DEFAULT_LAMBDA_SEED`.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import LsrpError
 from .modq import Q_LIMIT
@@ -110,36 +111,3 @@ def default_params(lambda_seed: bytes = DEFAULT_LAMBDA_SEED) -> ProtocolParams:
     range.
     """
     return validate(ProtocolParams(n=128, q=65537, tau=3.0, lambda_seed=lambda_seed))
-
-
-_CONFIG_KEYS = {"n", "q", "tau", "lambda_seed"}
-
-
-def parse_config(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment; unknown keys rejected."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParamError(f"config line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ParamError(f"config line {lineno}: unknown key {key!r}")
-        convert = {"lambda_seed": bytes.fromhex, "tau": float}.get(key, int)
-        try:
-            out[key] = convert(value)
-        except ValueError as exc:
-            raise ParamError(f"config line {lineno}: bad value {value!r} for {key}") from exc
-    return out
-
-
-def params_from_config(text: str, overrides: dict | None = None,
-                       allow_unsafe: bool = False) -> ProtocolParams:
-    """Build ProtocolParams from a config file body plus CLI overrides."""
-    fields = parse_config(text)
-    if overrides:
-        fields.update({k: v for k, v in overrides.items() if v is not None})
-    return validate(replace(default_params(), **fields), allow_unsafe=allow_unsafe)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LsrpError
+from .errors import InvalidTrialCount, LsrpError
 from .modq import centered
 from .sampler import GaussianTable, StreamExpander, gaussian_ints, uniform_ints
 
@@ -124,7 +124,7 @@ def regev_decrypt(secret: np.ndarray, c: RegevCiphertext, p: int) -> int:
 def round_trip_accuracy(rp: RegevParams, trials: int, seed: bytes | None = None) -> float:
     """Fraction of random bits surviving encrypt/decrypt with one key pair."""
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
     exp = _expander(seed, b"LSRP-regev-trials")
     keys = regev_keygen(rp, seed=exp.read(32))
     bits = exp.read_bits(trials)

@@ -13,7 +13,7 @@ from lsrp.srp_core import register
 LAMBDA_HEX = ("01" * 32)
 SALT = b"\x00" * 16
 
-TOY_FLAGS = ["--n", "8", "--q", "1153", "--tau", "1.0", "--lambda-seed", LAMBDA_HEX]
+SEED_FLAGS = ["--lambda-seed", LAMBDA_HEX]
 
 
 @pytest.fixture
@@ -233,25 +233,6 @@ def test_import_pins_openblas_threads_unless_set():
         assert out.strip() == expected
 
 
-def test_main_register_then_login(tmp_path, server, capsys):
-    pw = tmp_path / "pw.txt"
-    pw.write_bytes(b"s3cret\n")
-    store = str(tmp_path / "main.db")
-    code = cli.main(["register", *TOY_FLAGS, "--store", store,
-                     "--id", "bob", "--password-file", str(pw)])
-    assert code == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "registered id=bob" in out and "verifier-digest=" in out
-
-    # point the running server at the updated store
-    server.store = CredentialStore.open(store, server.params)
-    host, port = addr(server)
-    code = cli.main(["login", *TOY_FLAGS, "--server", f"{host}:{port}",
-                     "--id", "bob", "--password-file", str(pw)])
-    assert code == cli.EXIT_OK
-    assert "login ok key-digest=" in capsys.readouterr().out
-
-
 def test_default_flags_register_serve_login(tmp_path, capsys):
     """The README flow with no parameter flags: every command derives the same basis."""
     pw = tmp_path / "pw.txt"
@@ -259,6 +240,8 @@ def test_default_flags_register_serve_login(tmp_path, capsys):
     store = str(tmp_path / "default.db")
     assert cli.main(["register", "--store", store, "--id", "alice",
                      "--password-file", str(pw)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "registered id=alice" in out and "verifier-digest=" in out
 
     p = cli.load_params(cli.build_parser().parse_args(["serve", "--store", store]))
     srv = cli.LsrpServer(("127.0.0.1", 0), p, CredentialStore.open(store, p))
@@ -280,7 +263,7 @@ def test_main_register_requires_store_path(tmp_path, monkeypatch):
     monkeypatch.delenv("LSRP_STORE", raising=False)
     pw = tmp_path / "pw.txt"
     pw.write_bytes(b"x")
-    code = cli.main(["register", *TOY_FLAGS, "--id", "bob",
+    code = cli.main(["register", *SEED_FLAGS, "--id", "bob",
                      "--password-file", str(pw)])
     assert code == cli.EXIT_ERROR
 
@@ -289,25 +272,16 @@ def test_main_store_path_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LSRP_STORE", str(tmp_path / "env.db"))
     pw = tmp_path / "pw.txt"
     pw.write_bytes(b"x")
-    assert cli.main(["register", *TOY_FLAGS, "--id", "bob",
+    assert cli.main(["register", *SEED_FLAGS, "--id", "bob",
                      "--password-file", str(pw)]) == cli.EXIT_OK
     capsys.readouterr()
 
 
 def test_main_simulate(capsys):
-    code = cli.main(["simulate", *TOY_FLAGS, "--trials", "5", "--seed", "ab" * 32])
+    code = cli.main(["simulate", *SEED_FLAGS, "--trials", "5", "--seed", "ab" * 32])
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "agreements" in out and "trials" in out
-
-
-def test_main_simulate_csv(tmp_path, capsys):
-    csv = tmp_path / "report.csv"
-    code = cli.main(["simulate", *TOY_FLAGS, "--trials", "3",
-                     "--instrument", "--csv", str(csv)])
-    assert code == cli.EXIT_OK
-    assert csv.read_text().startswith("trials,")
-    capsys.readouterr()
 
 
 def test_main_lemma_oracle(capsys):
@@ -323,12 +297,6 @@ def test_main_regev(capsys):
     assert "p=4099" in out and "accuracy=" in out
 
 
-def test_main_rejects_unsafe_params_without_flag(capsys):
-    code = cli.main(["simulate", "--n", "2", "--q", "41", "--tau", "1.0",
-                     "--lambda-seed", LAMBDA_HEX, "--trials", "1"])
-    assert code == cli.EXIT_ERROR
-
-
 def test_parse_addr_forms():
     assert cli.parse_addr("127.0.0.1:7464") == ("127.0.0.1", 7464)
     assert cli.parse_addr(":9000") == ("127.0.0.1", 9000)
@@ -337,20 +305,17 @@ def test_parse_addr_forms():
 def test_main_bad_hex_or_number_is_a_typed_error(tmp_path, caplog):
     import logging
 
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("n = abc\n")
     pw = tmp_path / "pw.txt"
     pw.write_bytes(b"x")
     missing = str(tmp_path / "missing")
     cases = [(["simulate", "--lambda-seed", "zz"], "--lambda-seed"),
-             (["simulate", *TOY_FLAGS, "--trials", "1", "--seed", "zz"], "--seed"),
+             (["simulate", *SEED_FLAGS, "--trials", "1", "--seed", "zz"], "--seed"),
              (["regev", "--trials", "1", "--seed", "zz"], "--seed"),
-             (["simulate", "--config", str(cfg)], "config line 1"),
-             (["simulate", "--tau", "nan", "--lambda-seed", LAMBDA_HEX, "--trials", "1"], "tau"),
-             (["simulate", "--config", missing], f"--config: cannot read {missing}"),
-             (["register", *TOY_FLAGS, "--store", str(tmp_path / "s.db"), "--id", "a",
+             (["regev", "--trials", "0"], "trials must be >= 1"),
+             (["simulate", "--lambda-seed", "01" * 31], "lambda_seed must be 32 bytes"),
+             (["register", *SEED_FLAGS, "--store", str(tmp_path / "s.db"), "--id", "a",
                "--password-file", missing], f"--password-file: cannot read {missing}"),
-             (["login", *TOY_FLAGS, "--id", "bob", "--password-file", str(pw),
+             (["login", *SEED_FLAGS, "--id", "bob", "--password-file", str(pw),
                "--server", "localhost"], "bad address")]
     for argv, named in cases:
         caplog.clear()
@@ -359,19 +324,16 @@ def test_main_bad_hex_or_number_is_a_typed_error(tmp_path, caplog):
         assert [named in rec.getMessage() for rec in caplog.records] == [True]
 
 
-def test_config_file_supplies_params(tmp_path, capsys):
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text("n = 8\nq = 1153\ntau = 1.0\nlambda_seed = {}\n".format(LAMBDA_HEX))
-    assert cli.main(["simulate", "--config", str(cfg), "--trials", "2"]) == cli.EXIT_OK
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("flag", ["--bogus", "--salt-len"])
+@pytest.mark.parametrize("flag", ["--bogus", "--salt-len", "--n", "--q", "--tau", "--config",
+                                  "--unsafe-params"])
 def test_usage_error_exits_1_not_the_auth_failed_code(flag, capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["login", "--id", "alice", flag, "32"])
-    assert info.value.code == cli.EXIT_ERROR
-    assert flag in capsys.readouterr().err
+    # --lambda-seed is the one parameter flag these commands take
+    for argv in (["register", "--id", "alice"], ["serve"], ["login", "--id", "alice"],
+                 ["simulate"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, flag, "32"])
+        assert info.value.code == cli.EXIT_ERROR
+        assert flag in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         cli.main(["login", "--help"])
     assert info.value.code == cli.EXIT_OK

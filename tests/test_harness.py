@@ -43,12 +43,6 @@ def test_simulate_rejects_bad_trial_count(toy):
         simulate(toy, 0)
 
 
-def test_report_csv_shape(toy):
-    lines = simulate(toy, 5, master_seed=SEED).to_csv().strip().split("\n")
-    assert len(lines) == 2
-    assert len(lines[0].split(",")) == len(lines[1].split(",")) == 7
-
-
 def test_stolen_verifier_attempts_fail(toy):
     record = register(toy, b"alice", b"pw", salt=SALT)
     for strategy in ("random", "zero"):

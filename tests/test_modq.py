@@ -21,7 +21,7 @@ def test_add_identity_and_wrap():
     z = ModQMatrix.zeros(1, 13)
     assert a + z == a
     assert (m(13, [[7]]) + m(13, [[8]])).entries[0, 0] == 2  # 15 mod 13
-    assert a + (-a) == z
+    assert a + (z - a) == z
 
 
 def test_sub_examples():
@@ -44,7 +44,7 @@ def test_mul_hand_checked_product():
 def test_mul_identity_and_zero():
     rng = np.random.default_rng(1)
     a = rand_matrix(rng, 4, 41)
-    i = ModQMatrix.identity(4, 41)
+    i = ModQMatrix(4, 41, np.eye(4, dtype=np.int64))
     z = ModQMatrix.zeros(4, 41)
     assert i @ a == a
     assert a @ i == a
@@ -107,7 +107,8 @@ def test_ring_axioms(a, b, c):
     assert (a @ b) @ c == a @ (b @ c)
     assert a @ (b + c) == a @ b + a @ c
     assert (a + b) @ c == a @ c + b @ c
-    assert a + (-a) == ModQMatrix.zeros(3, 41)
+    zero = ModQMatrix.zeros(3, 41)
+    assert a + (zero - a) == zero
 
 
 def naive_mul(a: ModQMatrix, b: ModQMatrix) -> ModQMatrix:
@@ -173,7 +174,7 @@ def test_fold_kernels_match_the_remainder_oracle_at_edge_values(q):
     assert (a - b).entries.tolist() == ((x - y) % q).tolist()
     assert (b - a).entries.tolist() == ((y - x) % q).tolist()
     assert a.scale2().entries.tolist() == ((2 * x) % q).tolist()
-    assert (-a).entries.tolist() == ((-x) % q).tolist()
+    assert (ModQMatrix.zeros(8, q) - a).entries.tolist() == ((-x) % q).tolist()
 
 
 def test_matrices_are_immutable():

@@ -4,8 +4,7 @@ import pytest
 
 from lsrp.params import (DEFAULT_LAMBDA_SEED, MAX_N, SALT_LEN, CutoffTooLarge, EvenModulus,
                          ModulusTooLarge, ModulusTooSmall, ParamError, ProtocolParams,
-                         ToleranceViolated, default_params, params_from_config, parse_config,
-                         validate)
+                         ToleranceViolated, default_params, validate)
 
 LAMBDA = b"\x01" * 32
 
@@ -51,8 +50,6 @@ def test_modulus_at_or_above_2_32_rejected():
 
 def test_default_seed_is_fixed_public_constant():
     assert default_params().lambda_seed == DEFAULT_LAMBDA_SEED
-    assert params_from_config("").lambda_seed == DEFAULT_LAMBDA_SEED
-    assert params_from_config("n = 16\nq = 12289\ntau = 1.0\n").lambda_seed == DEFAULT_LAMBDA_SEED
 
 
 def test_cutoff_too_large_rejected():
@@ -100,39 +97,3 @@ def test_default_params_idempotent_modulo_lambda():
     c = default_params()
     assert dataclasses.replace(c, lambda_seed=LAMBDA) == a
 
-
-def test_config_round_trip():
-    text = """
-    # demo profile
-    n = 16
-    q = 12289
-    tau = 1.0
-    lambda_seed = {}
-    """.format(LAMBDA.hex())
-    p = params_from_config(text)
-    assert (p.n, p.q, p.tau) == (16, 12289, 1.0)
-    assert p.lambda_seed == LAMBDA
-
-
-def test_config_cli_overrides_win():
-    p = params_from_config("n = 16\nq = 12289\ntau = 1.0",
-                           overrides={"n": 32, "tau": None, "lambda_seed": LAMBDA})
-    assert p.n == 32 and p.tau == 1.0
-
-
-def test_config_rejects_unknown_key_and_bad_hex():
-    with pytest.raises(ParamError):
-        parse_config("bogus = 1")
-    with pytest.raises(ParamError):
-        parse_config("lambda_seed = zz")
-    with pytest.raises(ParamError):
-        parse_config("n 12")
-    with pytest.raises(ParamError, match="line 2"):
-        parse_config("q = 1153\nn = abc")
-    with pytest.raises(ParamError, match="tau"):
-        parse_config("tau = x")
-
-    # the tail cutoff and the salt length are constants, not keys
-    for line in ("tail_cutoff = 10", "salt_len = 16"):
-        with pytest.raises(ParamError, match="unknown key"):
-            parse_config(line)
