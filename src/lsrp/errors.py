@@ -17,6 +17,10 @@ class ModulusMismatch(LsrpError, ValueError):
     pass
 
 
+class NonIntegerEntries(LsrpError, TypeError):
+    """Matrix input of a non-integer dtype, which a cast would truncate."""
+
+
 class InvalidState(LsrpError, RuntimeError):
     """Session operation called out of order."""
 

@@ -55,7 +55,7 @@ class HarnessReport:
 
 def _trial_seed(master_seed: bytes, label: bytes, index: int) -> bytes:
     exp = StreamExpander(b"LSRP-sim-" + label + index.to_bytes(8, "big"), master_seed)
-    return exp.read(32)
+    return bytes(exp.read(32))
 
 
 def _perturb(password: bytes, index: int) -> bytes:
@@ -99,7 +99,7 @@ def simulate(p: ProtocolParams, trials: int, instrument: bool = False,
         master_seed = DEFAULT_MASTER_SEED
     start = time.monotonic()
 
-    salt = StreamExpander(b"LSRP-sim-salt", master_seed).read(SALT_LEN)
+    salt = bytes(StreamExpander(b"LSRP-sim-salt", master_seed).read(SALT_LEN))
     record = register(p, client_id, password, salt=salt)
 
     agreements = 0
@@ -154,7 +154,7 @@ def stolen_verifier_attempt(p: ProtocolParams, record: VerifierRecord,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    server = ServerSession(p, record, seed=exp.read(32))
+    server = ServerSession(p, record, seed=bytes(exp.read(32)))
     salt, b_s, sigma = server.respond(record.client_id, b_c)
 
     # best available guess: drop the unknown verifier-secret contribution

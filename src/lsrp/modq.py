@@ -4,21 +4,29 @@ Entries are stored canonically in [0, q), q < 2^32 (`Q_LIMIT`).  A sum,
 difference or doubling is one NumPy add or subtract into a new array,
 folded into [0, q) in place by one compare-min on its uint64 view: with
 canonical operands the raw result lies in (-q, 2q), and exactly one of
-u and u -/+ q (mod 2^64) is below q, the smaller one.
+u and u -/+ q (mod 2^64) is below q, the smaller one.  The public
+constructor checks its input's dtype, shape and range; results of Z_q
+arithmetic are canonical by construction and skip those scans.
 
-A product centers both operands straight into float64, multiplies them
-with BLAS and reduces the integer-valued result in int64.  It is exact
-while n*max|x|*max|y| < 2^53: every partial sum is then an integer below
-2^53 in any summation order.  Protocol products (one operand Gaussian)
-meet that in one pass; otherwise the canonical right operand is cut into
-k-bit limbs with n*max|x|*2^k < 2^53 and recombined from the top limb in
-int64, where q*2^k < 2^63 rules out wrap.
+A product multiplies float64 forms of both operands with BLAS and reduces
+the integer-valued result in int64.  It is exact while n*max|x|*max|y| <
+2^53: every partial sum is then an integer below 2^53 in any summation
+order.  When n*(q-1)^2 < 2^53 that holds for any canonical operands (at
+n=128, q=65537 the sums stay below 2^39), so the float form is the
+canonical residues and nothing is scanned.  Otherwise both operands are
+centered into (-q/2, q/2] and their largest absolute entries scanned;
+protocol products (one operand Gaussian) then meet the bound in one pass,
+and other operands have the canonical right operand cut into k-bit limbs
+with n*max|x|*2^k < 2^53, recombined from the top limb in int64, where
+q*2^k < 2^63 rules out wrap.  A matrix used in many products (the basis
+A) computes its float form and bound once and keeps them
+(`keep_float_form`); no other matrix holds one past its product.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModulusMismatch
+from .errors import DimensionMismatch, ModulusMismatch, NonIntegerEntries
 
 Q_LIMIT = 1 << 32  # moduli lie below this; the wire writes entries as 4-byte words
 _FLOAT_EXACT_BITS = 53
@@ -66,20 +74,35 @@ def _centered_float(entries: np.ndarray, q: int) -> np.ndarray:
 class ModQMatrix:
     """Immutable n x n matrix over Z_q."""
 
-    __slots__ = ("n", "q", "entries")
+    __slots__ = ("n", "q", "entries", "_float")
 
     def __init__(self, n: int, q: int, entries) -> None:
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = np.asarray(entries)
+        if arr.dtype.kind not in "iu":
+            raise NonIntegerEntries(f"entries must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.shape != (n, n):
             raise DimensionMismatch(f"expected shape ({n}, {n}), got {arr.shape}")
         if q >= Q_LIMIT:
             raise ValueError(f"modulus {q} not below 2^32")
         if arr.size and arr.view(np.uint64).max() >= q:  # a negative entry is above 2^63
             raise ValueError(f"entries must lie in [0, {q})")
+        self._set(n, q, arr)
+
+    def _set(self, n: int, q: int, arr: np.ndarray) -> None:
         self.n = n
         self.q = q
         self.entries = arr
+        self._float = None
         arr.setflags(write=False)
+
+    @classmethod
+    def _canonical(cls, n: int, q: int, arr: np.ndarray) -> "ModQMatrix":
+        """Wrap an int64 (n, n) array of residues in [0, q) without rescanning it,
+        for results that are canonical by construction."""
+        m = cls.__new__(cls)
+        m._set(n, q, arr)
+        return m
 
     @classmethod
     def zeros(cls, n: int, q: int) -> "ModQMatrix":
@@ -111,21 +134,39 @@ class ModQMatrix:
 
     def __add__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
-        return ModQMatrix(self.n, self.q, fold_sum(np.add(self.entries, other.entries), self.q))
+        return ModQMatrix._canonical(self.n, self.q, fold_sum(np.add(self.entries, other.entries), self.q))
 
     def __sub__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
         diff = np.subtract(self.entries, other.entries)
-        return ModQMatrix(self.n, self.q, fold_signed(diff, self.q))
+        return ModQMatrix._canonical(self.n, self.q, fold_signed(diff, self.q))
+
+    def _float_form(self) -> tuple[np.ndarray, int]:
+        """The float64 form products multiply, and a bound on its absolute entries."""
+        if self._float is not None:
+            return self._float
+        n, q = self.n, self.q
+        if n * (q - 1) ** 2 < 1 << _FLOAT_EXACT_BITS:
+            return self.entries.astype(np.float64), q - 1
+        x = _centered_float(self.entries, q)
+        return x, int(max(x.max(initial=0), -x.min(initial=0)))
+
+    def keep_float_form(self) -> "ModQMatrix":
+        """Compute this matrix's float form and bound once and keep them for
+        every later product; for an operand of many products.  Returns self."""
+        x, bound = self._float_form()
+        x.setflags(write=False)
+        self._float = (x, bound)
+        return self
 
     def __matmul__(self, other: "ModQMatrix") -> "ModQMatrix":
         """Exact product mod q; see the module docstring for the exactness bound."""
         self._check(other)
         n, q = self.n, self.q
-        x = _centered_float(self.entries, q)
-        y = _centered_float(other.entries, q)
-        row_bound = n * int(max(x.max(initial=0), -x.min(initial=0)))
-        if row_bound * int(max(y.max(initial=0), -y.min(initial=0))) < 1 << _FLOAT_EXACT_BITS:
+        x, x_bound = self._float_form()
+        y, y_bound = other._float_form()
+        row_bound = n * x_bound
+        if row_bound * y_bound < 1 << _FLOAT_EXACT_BITS:
             k, limbs = 0, [y]
         else:
             k = min(_FLOAT_EXACT_BITS - row_bound.bit_length(), 63 - q.bit_length())
@@ -136,11 +177,11 @@ class ModQMatrix:
         for limb in limbs:
             part = reduce_array((x @ limb.astype(np.float64, copy=False)).astype(np.int64), q)
             out = part if out is None else reduce_array((out << k) + part, q)
-        return ModQMatrix(n, q, out)
+        return ModQMatrix._canonical(n, q, out)
 
     def scale2(self) -> "ModQMatrix":
         """Entrywise doubling mod q (the protocol's noise factor 2)."""
-        return ModQMatrix(self.n, self.q, fold_sum(np.add(self.entries, self.entries), self.q))
+        return ModQMatrix._canonical(self.n, self.q, fold_sum(np.add(self.entries, self.entries), self.q))
 
     def centered(self) -> np.ndarray:
         """Entries as centered representatives in (-q/2, q/2)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonIntegerEntries
 from .modq import ModQMatrix, centered, centered_array
 
 
@@ -25,11 +25,14 @@ class BitMatrix:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits) -> None:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
+        if arr.dtype.kind not in "biu":
+            raise NonIntegerEntries(f"bits must be integers, got dtype {arr.dtype}")
         if arr.shape != (n, n):
             raise DimensionMismatch(f"expected shape ({n}, {n}), got {arr.shape}")
-        if arr.size and arr.max() > 1:
+        if arr.size and (arr.min() < 0 or arr.max() > 1):  # checked before a cast could wrap
             raise ValueError("entries must be bits")
+        arr = arr.astype(np.uint8, copy=False)
         self.n = n
         self.bits = arr
         arr.setflags(write=False)

@@ -126,7 +126,7 @@ def round_trip_accuracy(rp: RegevParams, trials: int, seed: bytes | None = None)
     if trials < 1:
         raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
     exp = _expander(seed, b"LSRP-regev-trials")
-    keys = regev_keygen(rp, seed=exp.read(32))
+    keys = regev_keygen(rp, seed=bytes(exp.read(32)))
     bits = exp.read_bits(trials)
     ok = 0
     for bit in bits:

@@ -24,10 +24,12 @@ Gaussian sampling is inverse-CDT on a 64-bit fixed-point cumulative table:
 the table is plain integer data, so seeded draws are bit-exact, unlike
 rejection samplers whose float rounding varies across platforms.  The
 lookup is indexed by a draw's top 12 bits: a bucket that holds no table
-entry maps every draw in it to the same index, so only the draws in the
-few buckets that hold an entry (about 0.2% at tau=3) need a binary search.
-The signed draws are wrapped to residues mod q in place (`modq.fold_signed`),
-with one compare-min and no integer division.
+entry maps every draw in it to the same value, so a 4096-entry table of
+the value per prefix answers a whole matrix of draws with one gather.  The
+value is what the caller wants: the residue mod q for a protocol matrix
+(so no draw is wrapped afterwards), or the signed integer.  A sentinel
+marks the few buckets that hold an entry (about 0.24% of draws at tau=3);
+only their draws need a binary search.
 """
 from __future__ import annotations
 
@@ -41,12 +43,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import EmptyField
-from .modq import ModQMatrix, fold_signed
+from .modq import ModQMatrix
 from .params import SALT_LEN, TAIL_CUTOFF, ProtocolParams
 
 _U64_MAX = 2 ** 64 - 1
 _PREFIX_BITS = 12
 _PREFIX_SHIFT = 64 - _PREFIX_BITS
+_MIXED = np.iinfo(np.int64).min  # lookup sentinel: a table entry lies inside this bucket
 
 
 def _bind_libcrypto() -> SimpleNamespace:
@@ -156,17 +159,20 @@ class StreamExpander:
     def _squeeze(self, length: int) -> np.ndarray:
         return _shake256(self._prefix, length)
 
-    def read(self, k: int) -> bytes:
+    def read(self, k: int) -> memoryview:
+        """The next k bytes, as a read-only view of the squeezed buffer (no copy);
+        a caller that keeps them past the stream wraps them in bytes()."""
         need = self._off + k
         if need > len(self._buf):
             # the output is prefix-consistent, so squeezing again extends the stream
             self._buf = self._squeeze(max(need, 2 * len(self._buf), self._reserve))
-        out = self._buf[self._off:need].tobytes()
+        out = memoryview(self._buf[self._off:need]).toreadonly()
         self._off = need
         return out
 
     def read_u64(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.read(8 * count), dtype=">u8").astype(np.uint64)
+        """The next count big-endian 64-bit words, as a read-only array over the stream."""
+        return np.frombuffer(self.read(8 * count), dtype=">u8")
 
     def read_bits(self, count: int) -> np.ndarray:
         raw = np.frombuffer(self.read((count + 7) // 8), dtype=np.uint8)
@@ -198,7 +204,8 @@ class GaussianTable:
     Support is the integers in [-TAIL_CUTOFF*tau, TAIL_CUTOFF*tau]; the final
     cumulative weight is pinned to 2^64 - 1 and the sequence is strictly
     increasing (tail increments are clamped up to 1 so lookups stay
-    well-defined; the distortion is far below 2^-64 per point).
+    well-defined; the distortion is far below 2^-64 per point).  A table
+    built with a modulus q samples residues mod q, else signed integers.
 
     Truncation error: the discarded mass is bounded by the geometric-decay
     tail estimate sum_{|x| > c} exp(-pi x^2 / tau^2) < 2 exp(-pi c^2 / tau^2)
@@ -211,31 +218,33 @@ class GaussianTable:
     tau: float
     support: np.ndarray
     cdf: np.ndarray
-    first: np.ndarray  # per 12-bit prefix: how many cdf entries lie below its bucket
-    mixed: np.ndarray  # per 12-bit prefix: whether a cdf entry lies inside its bucket
+    values: np.ndarray  # what a draw of support[i] samples to: support[i], or its residue mod q
+    lookup: np.ndarray  # per 12-bit prefix: the value of every draw in its bucket, or _MIXED
 
     @classmethod
-    def build(cls, tau: float) -> "GaussianTable":
+    def build(cls, tau: float, q: int | None = None) -> "GaussianTable":
         c = int(math.floor(TAIL_CUTOFF * tau))
         support = np.arange(-c, c + 1, dtype=np.int64)
+        values = support if q is None else support % q
         cdf = np.array(_scaled_cumulative_weights(tau, c), dtype=np.uint64)
         per_bucket = np.bincount((cdf >> _PREFIX_SHIFT).astype(np.intp),
                                  minlength=1 << _PREFIX_BITS)
-        first = (np.cumsum(per_bucket) - per_bucket).astype(np.intp)
-        return cls(tau=tau, support=support, cdf=cdf, first=first, mixed=per_bucket > 0)
+        # every draw in a bucket holding no entry samples the first entry above
+        # the bucket; one exists, since the last entry, 2^64 - 1, is in the top bucket
+        below = np.cumsum(per_bucket) - per_bucket
+        lookup = np.where(per_bucket > 0, _MIXED, values[below])
+        return cls(tau=tau, support=support, cdf=cdf, values=values, lookup=lookup)
 
     def sample(self, draws: np.ndarray) -> np.ndarray:
-        """Map uniform 64-bit draws to signed support values (smallest i with cdf[i] >= u).
+        """Map uniform 64-bit draws to the value of the smallest i with cdf[i] >= u.
 
-        Every entry below a draw's bucket is below the draw, so the answer
-        is at least first[bucket]; it is exactly that unless an entry lies
-        inside the bucket, and only those draws are searched.
+        A draw's bucket gives its value unless a table entry lies inside the
+        bucket; only those draws are searched.
         """
-        top = (draws >> _PREFIX_SHIFT).view(np.int64)
-        idx = self.first[top]
-        hit = np.flatnonzero(self.mixed[top])
-        idx[hit] = np.searchsorted(self.cdf, draws[hit], side="left")
-        return self.support[idx]
+        out = self.lookup.take(np.right_shift(draws, _PREFIX_SHIFT, dtype=np.uint64).view(np.int64))
+        hit = np.flatnonzero(out == _MIXED)
+        out[hit] = self.values[np.searchsorted(self.cdf, draws[hit], side="left")]
+        return out
 
 
 def _scaled_cumulative_weights(tau: float, c: int) -> list[int]:
@@ -269,9 +278,10 @@ def _scaled_cumulative_weights(tau: float, c: int) -> list[int]:
 
 
 def _table_for(p: ProtocolParams) -> GaussianTable:
-    tbl = _TABLE_CACHE.get(p.tau)
+    key = (p.tau, p.q)
+    tbl = _TABLE_CACHE.get(key)
     if tbl is None:
-        tbl = _TABLE_CACHE[p.tau] = GaussianTable.build(p.tau)
+        tbl = _TABLE_CACHE[key] = GaussianTable.build(p.tau, p.q)
     return tbl
 
 
@@ -302,7 +312,7 @@ def uniform_ints(expander: StreamExpander, count: int, q: int) -> np.ndarray:
 
 
 def gaussian_ints(expander: StreamExpander, count: int, table: GaussianTable) -> np.ndarray:
-    """count signed integers from the truncated discrete Gaussian, one u64 per draw."""
+    """count values of the truncated discrete Gaussian (as the table samples them), one u64 per draw."""
     return table.sample(expander.read_u64(count))
 
 
@@ -326,11 +336,10 @@ def gaussian_matrix_from(p: ProtocolParams, expander: StreamExpander) -> ModQMat
 
     Several matrices can be drawn in a fixed order from one stream
     (registration draws the secret then the noise from the same seed).
-    The signed draws, |x| <= TAIL_CUTOFF*tau < q/2, are wrapped to residues
-    in place.
+    The table for (tau, q) samples residues directly.
     """
-    signed = gaussian_ints(expander, p.n * p.n, _table_for(p))
-    return ModQMatrix(p.n, p.q, fold_signed(signed, p.q).reshape(p.n, p.n))
+    residues = gaussian_ints(expander, p.n * p.n, _table_for(p))
+    return ModQMatrix._canonical(p.n, p.q, residues.reshape(p.n, p.n))
 
 
 GEN_TAG = b"LSRP-gen"

@@ -74,11 +74,12 @@ _BASIS_CACHE: dict = {}
 
 
 def shared_basis(p: ProtocolParams) -> ModQMatrix:
-    """The public basis A, derived from the public seed; cached per parameter set."""
+    """The public basis A, derived from the public seed; cached per parameter set
+    with the float form that three of a handshake's five products multiply."""
     key = (p.n, p.q, p.lambda_seed)
     a = _BASIS_CACHE.get(key)
     if a is None:
-        a = uniform_matrix(p, b"A", p.lambda_seed)
+        a = uniform_matrix(p, b"A", p.lambda_seed).keep_float_form()
         _BASIS_CACHE[key] = a
     return a
 

@@ -179,7 +179,7 @@ def _read_matrix(cur: _Cursor) -> ModQMatrix:
     entries = np.frombuffer(raw, dtype=">u4").astype(np.int64).reshape(n, n)
     if entries.max() >= q:
         raise FieldOutOfRange("matrix entry not reduced mod q")
-    return ModQMatrix(n, q, entries)
+    return ModQMatrix._canonical(n, q, entries)  # scanned once, just above
 
 
 def _read_signal(cur: _Cursor) -> SignalMatrix:

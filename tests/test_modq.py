@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrp.errors import DimensionMismatch, ModulusMismatch
+from lsrp.errors import DimensionMismatch, ModulusMismatch, NonIntegerEntries
 from lsrp.modq import ModQMatrix, centered
 
 
@@ -181,3 +181,36 @@ def test_matrices_are_immutable():
     a = m(13, [[1]])
     with pytest.raises(ValueError):
         a.entries[0, 0] = 5
+
+
+def test_non_integer_entries_are_refused_not_truncated():
+    for entries in ([[1.9]], np.array([[1.0]]), [["1"]]):
+        with pytest.raises(NonIntegerEntries):
+            ModQMatrix(1, 7, entries)
+    assert ModQMatrix(1, 7, np.array([[5]], dtype=np.uint8)).entries.tolist() == [[5]]
+
+
+@pytest.mark.parametrize("q", [
+    1 << 25,            # 8*(q-1)^2 < 2^53: canonical residues, no scan
+    (1 << 25) + 1,      # at the bound: centered and scanned
+])
+def test_mul_exact_with_largest_entries_at_the_canonical_bound(q):
+    n = 8
+    top = ModQMatrix(n, q, np.full((n, n), q - 1))
+    mid = ModQMatrix(n, q, np.full((n, n), q // 2))
+    for a, b in ((top, top), (top, mid), (mid, top)):
+        want = (n * int(a.entries[0, 0]) * int(b.entries[0, 0])) % q
+        assert (a @ b).entries.tolist() == [[want] * n] * n
+
+
+@pytest.mark.parametrize("n,q", [(8, 41), (16, (1 << 25) - 39), (8, 4294967291)])
+def test_kept_float_form_gives_the_same_products(n, q):
+    rng = np.random.default_rng(n)
+    a = rand_matrix(rng, n, q)
+    kept = ModQMatrix(n, q, a.entries).keep_float_form()
+    with pytest.raises(ValueError):
+        kept._float[0][0, 0] = 1.0
+    small = ModQMatrix.from_signed(n, q, rng.integers(-30, 31, size=(n, n)))
+    for other in (small, rand_matrix(rng, n, q)):
+        assert kept @ other == a @ other
+        assert other @ kept == other @ a

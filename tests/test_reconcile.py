@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lsrp.errors import DimensionMismatch
+from lsrp.errors import DimensionMismatch, NonIntegerEntries
 from lsrp.modq import ModQMatrix, centered
 from lsrp.reconcile import BitMatrix, extract, extract_bit, hint0, hint1, signal
 from lsrp.sampler import StreamExpander
@@ -114,8 +114,16 @@ def test_entrywise_permutation_equivariance():
 
 
 def test_bitmatrix_validation_and_packing():
-    with pytest.raises(ValueError):
-        BitMatrix(2, [[0, 2], [0, 0]])
+    for bad in ([[0, 2], [0, 0]], [[0, -1], [0, 0]], np.array([[256, 0], [0, 0]])):
+        with pytest.raises(ValueError):
+            BitMatrix(2, bad)
     with pytest.raises(DimensionMismatch):
         BitMatrix(2, [[0, 1, 0]])
     assert BitMatrix(2, [[1, 0], [0, 1]]).packed() == b"\x90"
+
+
+def test_bitmatrix_non_integer_bits_are_refused_not_truncated():
+    for bits in ([[0.9]], [[1.9]], np.array([[1.0]])):
+        with pytest.raises(NonIntegerEntries):
+            BitMatrix(1, bits)
+    assert BitMatrix(1, np.array([[True]])).bits.tolist() == [[1]]

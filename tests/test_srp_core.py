@@ -9,9 +9,9 @@ from lsrp import srp_core, wire
 from lsrp.errors import DimensionMismatch, EmptyField, InvalidState, VerificationFailed
 from lsrp.harness import run_handshake
 from lsrp.modq import ModQMatrix
-from lsrp.params import ParamError, validate
+from lsrp.params import ParamError, ProtocolParams, validate
 from lsrp.reconcile import BitMatrix
-from lsrp.sampler import SessionStream, StreamExpander
+from lsrp.sampler import GaussianTable, SessionStream, StreamExpander
 from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerState,
                            client_confirmation_tag, client_key_material, compute_verifier,
                            decoy_record, decoy_verifier, kdf, register, registration_matrices,
@@ -363,6 +363,30 @@ def test_handshake_hashes_its_transcript_once_per_party(toy, monkeypatch):
     assert sorted(tag_callers) == ["confirmation"] * 2 + ["verify_client"] * 2 + ["verify_server"]
 
 
+def test_handshake_draws_8_gaussian_matrices_and_takes_5_products(toy, monkeypatch):
+    """The work one handshake does, counted where the benchmark's tracer counts it:
+    each Gaussian draw is one GaussianTable.sample lookup."""
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    calls = []
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(srp_core, "gaussian_matrix_from",
+                        counted(srp_core.gaussian_matrix_from, "gaussian_matrix_from"))
+    monkeypatch.setattr(GaussianTable, "sample", counted(GaussianTable.sample, "sample"))
+    monkeypatch.setattr(ModQMatrix, "__matmul__", counted(ModQMatrix.__matmul__, "matmul"))
+    _, _, ok = run_handshake(toy, rec, b"alice", b"pw",
+                             client_seed=b"\x16" * 32, server_seed=b"\x17" * 32)
+    assert ok
+    assert calls.count("gaussian_matrix_from") == 8
+    assert calls.count("sample") == 8
+    assert calls.count("matmul") == 5
+
+
 def test_tags_from_independent_sessions_differ(toy):
     rec = register(toy, b"alice", b"pw", salt=SALT)
     c1, _, _ = run_handshake(toy, rec, b"alice", b"pw",
@@ -381,3 +405,48 @@ def test_decoy_record_deterministic(params):
     assert a.salt == b.salt and a.verifier == b.verifier == v
     assert decoy_record(params, b"ghost2", secret, v).salt != a.salt
     assert decoy_record(params, b"ghost", b"\xab" * 32, v).salt != a.salt
+
+
+# --- seeded handshakes, pinned end to end -----------------------------------
+
+# recorded before the handshake's hot path was rewritten; any change to the
+# Gaussian lookup, the products or the wire codec that moves B_C, B_S, the
+# signal, a session key or a tag changes these digests
+HANDSHAKE_GOLDEN = {
+    "toy": (8, 1153, 1.0,
+        "59efdcdf5ff0e38f1fd21cf03f93a84dd9bbfa8079ee73b28f4164f5a754ea96"),
+    "n128": (128, 65537, 3.0,
+        "063ec0149d1e427f35685b4df1de5138f4a104c090493e57570f6b1bde4b61b4"),
+    "n256-wideq": (256, (1 << 25) - 39, 3.0,
+        "fec5ed34ed18c447a43203e36ab74b703e27ae108bf5390dfd3b30dd4c8c553b"),
+}
+
+
+def seeded_handshake_digest(p, seeds=3) -> str:
+    """SHA-256 over the Hello and Challenge frames, both session keys and both
+    tags of `seeds` seeded handshakes against one registered record."""
+    rec = register(p, b"alice", b"pw", salt=SALT)
+    h = hashlib.sha256()
+    for i in range(seeds):
+        c = ClientSession(p, b"alice", b"pw", seed=bytes([i, 1]) * 16)
+        s = ServerSession(p, rec, seed=bytes([i, 2]) * 16)
+        hello = wire.encode_message(wire.Hello(*c.hello()))
+        h.update(hello)
+        msg = wire.decode_message(hello)
+        challenge = wire.encode_message(wire.Challenge(*s.respond(msg.client_id, msg.b_c)))
+        h.update(challenge)
+        msg = wire.decode_message(challenge)
+        h.update(c.finish(msg.salt, msg.b_s, msg.sigma))
+        h.update(s.session_key)
+        m1 = c.confirmation()
+        m2 = s.verify_client(m1)
+        assert c.verify_server(m2)
+        h.update(m1 + m2)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("profile", sorted(HANDSHAKE_GOLDEN))
+def test_seeded_handshake_golden_digest(profile):
+    n, q, tau, want = HANDSHAKE_GOLDEN[profile]
+    p = validate(ProtocolParams(n=n, q=q, tau=tau, lambda_seed=LAMBDA))
+    assert seeded_handshake_digest(p) == want
