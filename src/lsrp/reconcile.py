@@ -5,18 +5,21 @@ extractor then maps value + hint to one shared bit.  Two values whose
 centered difference is even and at most floor(q/4) - 2 in absolute value
 extract to the same bit when the hint is computed on either of them.
 
-Both the hint intervals and the extractor parity operate on centered
-representatives in (-q/2, q/2): the intervals are symmetric about zero,
-and with q odd the parity of a residue depends on the representative, so
-only the centered choice makes the agreement guarantee hold across the
-wrap of the canonical range.
+The hint intervals and the extractor parity are defined on centered
+representatives in (-q/2, q/2); the array functions get the same bits from
+canonical residues in [0, q), q odd.  The centered interval [-b+v, b+v]
+(b = floor(q/4), v the variant) is [0, b+v] and [q-b+v, q) canonically, so
+the hint is 1 iff b+v < x < q-b+v.  Centering s = x + sigma*(q-1)/2
+subtracts q when s > (q-1)/2, flipping the parity: the bit is parity(s) XOR
+(s > (q-1)/2).  Only the centered parity makes the agreement guarantee hold
+across the wrap of the canonical range.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonIntegerEntries
-from .modq import ModQMatrix, centered, centered_array
+from .modq import ModQMatrix, centered
 
 
 class BitMatrix:
@@ -73,26 +76,34 @@ def hint1(x: int, q: int) -> int:
 def hint_bits(x: np.ndarray, variant, q: int) -> np.ndarray:
     """Entrywise hint of residues x; variant (per entry, or one bit) 0 is hint0, 1 is hint1."""
     b = q // 4
-    v = np.asarray(variant, dtype=np.int64)
-    xc = centered_array(x, q)
-    return ((xc < -b + v) | (xc > b + v)).astype(np.uint8)
+    y = x - variant  # the hint is 1 iff b + v < x < q - b + v
+    return ((y > b) & (y < q - b)).astype(np.uint8)
 
 
 def shift(x: np.ndarray, sigma, q: int) -> np.ndarray:
     """Centered value of (x + sigma*(q-1)/2) mod q, whose parity is the shared bit.
 
     x is canonical and sigma a bit array of its shape, so the sum s lies in
-    [0, q + (q-1)/2) and needs no reduction: one at or past q centers to
-    s - q, which is below (q-1)/2 and so is already its centered residue.
+    [0, q + (q-1)/2) and needs no reduction: its centered value is s - q
+    when s > (q-1)/2, else s (a sum at or past q gives s - q < (q-1)/2).
     """
-    s = np.multiply(sigma, (q - 1) // 2, dtype=np.int64)
+    half = (q - 1) // 2
+    s = np.multiply(sigma, half, dtype=np.int64)
     s += x
-    return centered_array(s, q)
+    s -= q * (s > half)
+    return s
 
 
 def extract_bits(x: np.ndarray, sigma, q: int) -> np.ndarray:
-    """Entrywise extractor on canonical residues x and hint bits sigma."""
-    return (shift(x, sigma, q) & 1).astype(np.uint8)
+    """Entrywise extractor on canonical residues x and hint bits sigma:
+    parity(s) XOR (s > (q-1)/2) for s = x + sigma*(q-1)/2, as the module notes."""
+    half = (q - 1) // 2
+    s = np.multiply(sigma, half, dtype=np.int64)
+    s += x
+    bits = s.astype(np.uint8)  # the low byte keeps the parity
+    bits &= 1
+    bits ^= s > half
+    return bits
 
 
 def signal(m: ModQMatrix, variants: np.ndarray) -> SignalMatrix:

@@ -22,7 +22,10 @@ squeeze.  The short digests elsewhere (KDF, tags, seeds) stay on hashlib.
 
 Gaussian sampling is inverse-CDT on a 64-bit fixed-point cumulative table:
 the table is plain integer data, so seeded draws are bit-exact, unlike
-rejection samplers whose float rounding varies across platforms.  The
+rejection samplers whose float rounding varies across platforms.  It is
+built once per (tau, q) with the standard library's `decimal` module at
+92 digits: one exp gives g = exp(-pi/tau^2), and the weights g^(x^2) follow
+by the recurrence w(x+1) = w(x) g^(2x+1).  The
 lookup is indexed by a draw's top 12 bits: a bucket that holds no table
 entry maps every draw in it to the same value, so a 4096-entry table of
 the value per prefix answers a whole matrix of draws with one gather.  The
@@ -38,6 +41,8 @@ import hashlib
 import math
 import secrets
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +55,9 @@ _U64_MAX = 2 ** 64 - 1
 _PREFIX_BITS = 12
 _PREFIX_SHIFT = 64 - _PREFIX_BITS
 _MIXED = np.iinfo(np.int64).min  # lookup sentinel: a table entry lies inside this bucket
+# pi to 110 decimals (the next digit is 3), for the Gaussian table's exp(-pi/tau^2)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+              "582097494459230781640628620899862803482534211706798214808651")
 
 
 def _bind_libcrypto() -> SimpleNamespace:
@@ -248,23 +256,23 @@ class GaussianTable:
 
 
 def _scaled_cumulative_weights(tau: float, c: int) -> list[int]:
-    """Integer cumulative weights rounded from 300-bit reals.
+    """Integer cumulative weights rounded from 92-digit (~305-bit) decimals.
 
-    At 300 bits of working precision the rounding to the 64-bit scale is
-    exact barring ties within ~2^-230 of a boundary; a higher-precision
-    recomputation in the test suite cross-checks every table entry.
+    w(x) = g^(x^2), g = exp(-pi/tau^2): one exp, then w(x+1) = w(x) g^(2x+1).
+    Rounding to the 64-bit scale is exact barring ties within ~2^-230 of a
+    boundary; the weights err under 1e-86 (the exponent's ~1e-91 error times
+    x^2 pi/tau^2 <= 100 pi, plus a few times c roundings of 5e-92, c <= 10^4).
+    A 700-bit recomputation in the tests cross-checks every table entry.
     """
-    import mpmath
-
-    with mpmath.workprec(300):
-        t2 = mpmath.mpf(tau) ** 2
-        weights = [mpmath.exp(-mpmath.pi * (x * x) / t2) for x in range(-c, c + 1)]
-        total = mpmath.fsum(weights)
-        cum: list[int] = []
-        acc = mpmath.mpf(0)
-        for w in weights:
-            acc += w
-            cum.append(int(mpmath.nint(acc / total * _U64_MAX)))
+    with localcontext(Context(prec=92)):
+        g = (-_PI / Decimal(tau) ** 2).exp()
+        g2, step, half = g * g, g, [Decimal(1)]  # half[x] = w(x) for x = 0..c
+        for _ in range(c):
+            half.append(half[-1] * step)
+            step *= g2
+        weights = half[:0:-1] + half
+        scale = _U64_MAX / sum(weights)
+        cum = [int((acc * scale).to_integral_value(ROUND_HALF_EVEN)) for acc in accumulate(weights)]
     # pin the anchor, then force strict monotonicity from both ends (the
     # far tails round to flat runs of 0 or 2^64-1)
     for i in range(1, len(cum)):

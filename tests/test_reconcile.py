@@ -3,7 +3,7 @@ import pytest
 
 from lsrp.errors import DimensionMismatch, NonIntegerEntries
 from lsrp.modq import ModQMatrix, centered
-from lsrp.reconcile import BitMatrix, extract, extract_bit, hint0, hint1, signal
+from lsrp.reconcile import BitMatrix, extract, extract_bit, hint0, hint1, hint_bits, signal
 from lsrp.sampler import StreamExpander
 
 
@@ -39,6 +39,12 @@ def test_extract_matches_scalar_reference():
         half = (q - 1) // 2
         edges = [0, 1, half - 1, half, half + 1, half + 2, q - 2, q - 1]
         cases.append((q, np.array(edges + edges).reshape(4, 4), np.repeat([0, 1], 8).reshape(4, 4)))
+        # the hint intervals' ends, b = floor(q/4): hint_bits against hint0 and hint1
+        b = q // 4
+        hint_edges = np.array([*range(b - 1, b + 3), *range(q - b - 1, q - b + 3), 0, half, q - 1])
+        for variant, hint in ((0, hint0), (1, hint1)):
+            want = [hint(int(x), q) for x in hint_edges]
+            assert hint_bits(hint_edges, variant, q).tolist() == want, (q, variant)
     for q, entries, bits in cases:
         m = ModQMatrix(4, q, entries)
         s = BitMatrix(4, bits)

@@ -321,10 +321,45 @@ def oracle_cdf(tau: float, cutoff: int) -> list[int]:
     return cum
 
 
-@pytest.mark.parametrize("tau", [1.0, 3.0])
+@pytest.mark.parametrize("tau", [0.05, 1.0, 3.0, 20.0])
 def test_gaussian_table_matches_high_precision_oracle(tau):
+    # tau=0.05 is the one-entry table, tau=20 a table of 401 entries
     t = GaussianTable.build(tau)
     assert [int(x) for x in t.cdf] == oracle_cdf(tau, TAIL_CUTOFF)
+
+
+def test_pi_literal_is_pi_to_its_last_digit():
+    import mpmath
+
+    decimals = -sampler._PI.as_tuple().exponent
+    with mpmath.workprec(700):
+        assert abs(mpmath.mpf(str(sampler._PI)) - mpmath.pi) < mpmath.mpf(10) ** -decimals / 2
+
+
+def test_runs_without_mpmath():
+    """The library needs no mpmath at run time: a blocked import must not matter."""
+    import os
+    import subprocess
+    import sys
+
+    import lsrp
+
+    probe = """
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ModuleNotFoundError
+from lsrp import cli, harness, regev  # every module that a command imports
+from lsrp.params import default_params
+from lsrp.srp_core import register
+p = default_params(bytes(32))
+rec = register(p, b"alice", b"pw")
+_, _, ok = harness.run_handshake(p, rec, b"alice", b"pw", client_seed=b"c", server_seed=b"s")
+print(ok)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lsrp.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True"]
 
 
 def test_gaussian_moments_match_density():

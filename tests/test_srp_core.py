@@ -4,14 +4,16 @@ import hmac
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsrp import srp_core, wire
 from lsrp.errors import DimensionMismatch, EmptyField, InvalidState, VerificationFailed
 from lsrp.harness import run_handshake
 from lsrp.modq import ModQMatrix
 from lsrp.params import ParamError, ProtocolParams, validate
-from lsrp.reconcile import BitMatrix
-from lsrp.sampler import GaussianTable, SessionStream, StreamExpander
+from lsrp.reconcile import BitMatrix, extract_bit, hint0, hint1
+from lsrp.sampler import GaussianTable, SessionStream, StreamExpander, gaussian_matrix_from
 from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerState,
                            client_confirmation_tag, client_key_material, compute_verifier,
                            decoy_record, decoy_verifier, kdf, register, registration_matrices,
@@ -173,6 +175,78 @@ def test_draw_budgets_are_exact(profile, request, monkeypatch):
         # the first digest is at least the reserve and any later one twice that,
         # so a buffer of exactly the reserve was digested once
         assert exp._off == exp._reserve == len(exp._buf), tag
+
+
+def _int_mul(x, y, q):
+    return [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*y)] for row in x]
+
+
+def _int_add(x, y, q, k=1):
+    """x + k*y entrywise, mod q."""
+    return [[(a + k * b) % q for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(client_seed=st.binary(min_size=1, max_size=32), server_seed=st.binary(min_size=1, max_size=32),
+       password=st.binary(min_size=1, max_size=16), wrong_password=st.booleans())
+def test_handshake_matches_an_integer_reference_model(toy, client_seed, server_seed, password,
+                                                      wrong_password):
+    """The protocol's equations, recomputed from each party's recorded draws.
+
+    V, B_C, B_S, M_C, M_S, the signal and the key bits are rebuilt with
+    Python integers and the scalar hint0/hint1/extract_bit, independent of
+    the NumPy products and the array reconciliation.
+    """
+    p, q, n = toy, toy.q, toy.n
+    draws, variants = [], []
+
+    def recording_gaussian(params, stream):
+        m = gaussian_matrix_from(params, stream)
+        draws.append(m.entries.tolist())
+        return m
+
+    class RecordingStream(SessionStream):
+        def read_bits(self, count):
+            bits = super().read_bits(count)
+            variants.extend(bits.tolist())
+            return bits
+
+    client_password = password + b"!" if wrong_password else password
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srp_core, "gaussian_matrix_from", recording_gaussian)
+        mp.setattr(srp_core, "SessionStream", RecordingStream)
+        rec = register(p, b"alice", password, salt=SALT)
+        client = ClientSession(p, b"alice", client_password, seed=client_seed, keep_material=True)
+        server = ServerSession(p, rec, seed=server_seed, keep_material=True)
+        salt, b_s, sigma = server.respond(*client.hello())
+        client.finish(salt, b_s, sigma)
+    # registration, client hello, server respond, then the client's own S_I and E_I in finish
+    s_i, e_i, s_c, e_c, e_c2, s_s, e_s, e_s2, s_i_c, e_i_c = draws
+    assert len(variants) == n * n
+
+    a = shared_basis(p).entries.tolist()
+    v = _int_add(_int_mul(s_i, a, q), e_i, q, 2)
+    b_c = _int_add(_int_mul(s_c, a, q), e_c, q, 2)
+    want_b_s = _int_add(_int_add(v, _int_mul(a, s_s, q), q), e_s, q, 2)
+    m_s = _int_add(_int_mul(_int_add(v, b_c, q), s_s, q), e_s2, q, 2)
+    v_c = _int_add(_int_mul(s_i_c, a, q), e_i_c, q, 2)  # V as the client derives it
+    m_c = _int_add(_int_mul(_int_add(s_i_c, s_c, q), _int_add(want_b_s, v_c, q, -1), q), e_c2, q, 2)
+    sig = [[(hint1 if variants[i * n + j] else hint0)(m_s[i][j], q) for j in range(n)]
+           for i in range(n)]
+    k_s = [[extract_bit(m_s[i][j], sig[i][j], q) for j in range(n)] for i in range(n)]
+    k_c = [[extract_bit(m_c[i][j], sig[i][j], q) for j in range(n)] for i in range(n)]
+
+    assert rec.verifier.entries.tolist() == v
+    assert client.b_c.entries.tolist() == b_c
+    assert b_s.entries.tolist() == want_b_s
+    assert server.key_material.entries.tolist() == m_s
+    assert client.key_material.entries.tolist() == m_c
+    assert sigma.bits.tolist() == sig
+    assert server.session_key == kdf(BitMatrix(n, k_s), p.lambda_seed)
+    assert client.session_key == kdf(BitMatrix(n, k_c), p.lambda_seed)
+    if not wrong_password:
+        assert (s_i_c, e_i_c) == (s_i, e_i)
+        assert k_c == k_s
 
 
 # --- state machine and hygiene --------------------------------------------
