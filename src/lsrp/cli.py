@@ -10,7 +10,9 @@ import secrets
 import socket
 import socketserver
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from .credstore import CredentialStore
 from .errors import LsrpError, VerificationFailed
@@ -26,6 +28,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_AUTH_FAILED = 2
 EXIT_UNREACHABLE = 3
+
+# threads serving connections; the server's memory and CPU grow with this
+# many handshakes at once, not with the number of clients
+MAX_WORKERS = 32
 
 
 def matrix_digest(m) -> str:
@@ -93,6 +99,8 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _exchange(self) -> None:
         srv = self.server
+        # the server's ephemeral needs no client: draw it while the client computes its Hello
+        session = ServerSession(srv.params)
         try:
             msg = wire.read_frame(self.request, self._deadline, wire.max_hello_body(srv.params.n))
         except wire.WireError as exc:
@@ -106,13 +114,13 @@ class _Handler(socketserver.BaseRequestHandler):
         if record is None:
             # anti-enumeration: answer with a deterministic decoy credential
             record = decoy_record(srv.params, msg.client_id, srv.server_secret, srv.decoy_verifier)
-        session = ServerSession(srv.params, record)
         try:
-            salt, b_s, sigma = session.respond(msg.client_id, msg.b_c)
+            salt, b_s, sigma = session.respond(record, msg.b_c)
         except LsrpError as exc:
             self._send_error(wire.ErrorCode.BAD_REQUEST, str(exc))
             return
         wire.write_frame(self.request, wire.Challenge(salt, b_s, sigma), self._deadline)
+        session.hash_transcript()  # while the client derives its key
         try:
             confirm = wire.read_frame(self.request, self._deadline, wire.TAG_LEN)
         except wire.WireError as exc:
@@ -139,9 +147,18 @@ class _Handler(socketserver.BaseRequestHandler):
             pass
 
 
-class LsrpServer(socketserver.ThreadingTCPServer):
+class LsrpServer(socketserver.TCPServer):
+    """The authentication server: connections are served by at most
+    MAX_WORKERS reused threads.
+
+    The accept loop takes a free worker before it accepts, so while every
+    worker is busy new connections wait in the listen backlog, and the
+    loop (and shutdown) waits at most one handler deadline for a worker.
+    server_close cuts the connections in hand and waits for their workers,
+    so that a stalled client does not hold the process open.
+    """
     allow_reuse_address = True
-    daemon_threads = True
+    request_queue_size = MAX_WORKERS
 
     def __init__(self, addr, params: ProtocolParams, store: CredentialStore) -> None:
         super().__init__(addr, _Handler)
@@ -149,6 +166,44 @@ class LsrpServer(socketserver.ThreadingTCPServer):
         self.store = store
         self.server_secret = secrets.token_bytes(32)
         self.decoy_verifier = decoy_verifier(params, self.server_secret)
+        self._workers = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="lsrp-worker")
+        self._free_workers = threading.BoundedSemaphore(MAX_WORKERS)
+        self._in_hand: set[socket.socket] = set()
+        self._in_hand_lock = threading.Lock()
+
+    def get_request(self):
+        self._free_workers.acquire()
+        try:
+            return super().get_request()
+        except BaseException:
+            self._free_workers.release()
+            raise
+
+    def process_request(self, request, client_address) -> None:
+        with self._in_hand_lock:
+            self._in_hand.add(request)
+        self._workers.submit(self._serve, request, client_address)
+
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            with self._in_hand_lock:
+                self._in_hand.discard(request)
+            self.shutdown_request(request)
+            self._free_workers.release()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._in_hand_lock:
+            for request in self._in_hand:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)  # its handler's next read or write fails
+                except OSError:
+                    pass
+        self._workers.shutdown()
 
 
 def run_login(p: ProtocolParams, client_id: bytes, password: bytes,

@@ -69,16 +69,19 @@ def run_handshake(p: ProtocolParams, record: VerifierRecord, client_id: bytes,
                   keep_material: bool = False):
     """One full handshake with every flow passed through the wire codec.
 
+    The server's steps come in the order `lsrp serve` takes them: its
+    session before the Hello, its transcript hash before the client's finish.
     Returns (client session, server session, confirmed: bool).
     """
+    server = ServerSession(p, seed=server_seed, keep_material=keep_material)
     client = ClientSession(p, client_id, password, seed=client_seed,
                            keep_material=keep_material)
-    server = ServerSession(p, record, seed=server_seed, keep_material=keep_material)
 
     cid, b_c = client.hello()
     hello = wire.decode_message(wire.encode_message(wire.Hello(cid, b_c)))
-    salt, b_s, sigma = server.respond(hello.client_id, hello.b_c)
+    salt, b_s, sigma = server.respond(record, hello.b_c)
     chall = wire.decode_message(wire.encode_message(wire.Challenge(salt, b_s, sigma)))
+    server.hash_transcript()
     client.finish(chall.salt, chall.b_s, chall.sigma)
     m1_msg = wire.decode_message(wire.encode_message(wire.ConfirmClient(client.confirmation())))
     try:
@@ -154,8 +157,8 @@ def stolen_verifier_attempt(p: ProtocolParams, record: VerifierRecord,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    server = ServerSession(p, record, seed=bytes(exp.read(32)))
-    salt, b_s, sigma = server.respond(record.client_id, b_c)
+    server = ServerSession(p, seed=bytes(exp.read(32)))
+    salt, b_s, sigma = server.respond(record, b_c)
 
     # best available guess: drop the unknown verifier-secret contribution
     e_guess = gaussian_matrix_from(p, exp)

@@ -13,14 +13,18 @@ the integer-valued result in int64.  It is exact while n*max|x|*max|y| <
 2^53: every partial sum is then an integer below 2^53 in any summation
 order.  When n*(q-1)^2 < 2^53 that holds for any canonical operands (at
 n=128, q=65537 the sums stay below 2^39), so the float form is the
-canonical residues and nothing is scanned.  Otherwise both operands are
-centered into (-q/2, q/2] and their largest absolute entries scanned;
-protocol products (one operand Gaussian) then meet the bound in one pass,
-and other operands have the canonical right operand cut into k-bit limbs
-with n*max|x|*2^k < 2^53, recombined from the top limb in int64, where
-q*2^k < 2^63 rules out wrap.  A matrix used in many products (the basis
-A) computes its float form and bound once and keeps them
-(`keep_float_form`); no other matrix holds one past its product.
+canonical residues and nothing is scanned.  Otherwise a matrix whose
+centered entries are known to be small (`small`: a Gaussian draw carries
+its table's bound, and a sum of two such matrices the sum of their
+bounds) is centered into (-q/2, q/2] without a scan, and its partner in a
+protocol product, uniform in Z_q, is cast as it is: n*small*(q-1) < 2^53
+holds at every protocol size (at n=256, q=2^25-39, tau=3 the sums stay
+below 2^39).  Other operands are centered and their largest absolute
+entries scanned; if the bound still fails, the canonical right operand
+is cut into k-bit limbs with n*max|x|*2^k < 2^53, recombined from the top
+limb in int64, where q*2^k < 2^63 rules out wrap.  A matrix used in many
+products (the basis A) computes its float form and bound once and keeps
+them (`keep_float_form`); no other matrix holds one past its product.
 """
 from __future__ import annotations
 
@@ -74,7 +78,7 @@ def _centered_float(entries: np.ndarray, q: int) -> np.ndarray:
 class ModQMatrix:
     """Immutable n x n matrix over Z_q."""
 
-    __slots__ = ("n", "q", "entries", "_float")
+    __slots__ = ("n", "q", "entries", "_float", "small")
 
     def __init__(self, n: int, q: int, entries) -> None:
         arr = np.asarray(entries)
@@ -89,19 +93,21 @@ class ModQMatrix:
             raise ValueError(f"entries must lie in [0, {q})")
         self._set(n, q, arr)
 
-    def _set(self, n: int, q: int, arr: np.ndarray) -> None:
+    def _set(self, n: int, q: int, arr: np.ndarray, small: int | None = None) -> None:
         self.n = n
         self.q = q
         self.entries = arr
         self._float = None
+        self.small = small  # a bound on the centered entries' absolute values, if known
         arr.setflags(write=False)
 
     @classmethod
-    def _canonical(cls, n: int, q: int, arr: np.ndarray) -> "ModQMatrix":
+    def _canonical(cls, n: int, q: int, arr: np.ndarray, small: int | None = None) -> "ModQMatrix":
         """Wrap an int64 (n, n) array of residues in [0, q) without rescanning it,
-        for results that are canonical by construction."""
+        for results that are canonical by construction; small, if given, bounds
+        the absolute values of its centered entries."""
         m = cls.__new__(cls)
-        m._set(n, q, arr)
+        m._set(n, q, arr, small)
         return m
 
     @classmethod
@@ -134,21 +140,36 @@ class ModQMatrix:
 
     def __add__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
-        return ModQMatrix._canonical(self.n, self.q, fold_sum(np.add(self.entries, other.entries), self.q))
+        small = None
+        if self.small is not None and other.small is not None:
+            small = self.small + other.small
+            if small > (self.q - 1) // 2:  # the sum may wrap
+                small = None
+        return ModQMatrix._canonical(self.n, self.q, fold_sum(np.add(self.entries, other.entries), self.q),
+                                     small)
 
     def __sub__(self, other: "ModQMatrix") -> "ModQMatrix":
         self._check(other)
         diff = np.subtract(self.entries, other.entries)
         return ModQMatrix._canonical(self.n, self.q, fold_signed(diff, self.q))
 
-    def _float_form(self) -> tuple[np.ndarray, int]:
-        """The float64 form products multiply, and a bound on its absolute entries."""
+    def _float_form(self, partner_small: int | None = None) -> tuple[np.ndarray, int]:
+        """The float64 form products multiply, and a bound on its absolute entries.
+
+        The canonical residues do when every product with them stays exact:
+        at n*(q-1)^2 < 2^53, or when this matrix's centered entries are not
+        known to be small but its partner's (partner_small) are.
+        """
         if self._float is not None:
             return self._float
         n, q = self.n, self.q
-        if n * (q - 1) ** 2 < 1 << _FLOAT_EXACT_BITS:
+        if n * (q - 1) ** 2 < 1 << _FLOAT_EXACT_BITS or (
+                self.small is None and partner_small is not None
+                and n * partner_small * (q - 1) < 1 << _FLOAT_EXACT_BITS):
             return self.entries.astype(np.float64), q - 1
         x = _centered_float(self.entries, q)
+        if self.small is not None:
+            return x, self.small
         return x, int(max(x.max(initial=0), -x.min(initial=0)))
 
     def keep_float_form(self) -> "ModQMatrix":
@@ -163,8 +184,8 @@ class ModQMatrix:
         """Exact product mod q; see the module docstring for the exactness bound."""
         self._check(other)
         n, q = self.n, self.q
-        x, x_bound = self._float_form()
-        y, y_bound = other._float_form()
+        x, x_bound = self._float_form(other.small)
+        y, y_bound = other._float_form(self.small)
         row_bound = n * x_bound
         if row_bound * y_bound < 1 << _FLOAT_EXACT_BITS:
             k, limbs = 0, [y]

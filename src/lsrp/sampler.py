@@ -344,10 +344,12 @@ def gaussian_matrix_from(p: ProtocolParams, expander: StreamExpander) -> ModQMat
 
     Several matrices can be drawn in a fixed order from one stream
     (registration draws the secret then the noise from the same seed).
-    The table for (tau, q) samples residues directly.
+    The table for (tau, q) samples residues directly; the matrix carries
+    the table's largest |x| as its bound for products.
     """
-    residues = gaussian_ints(expander, p.n * p.n, _table_for(p))
-    return ModQMatrix._canonical(p.n, p.q, residues.reshape(p.n, p.n))
+    table = _table_for(p)
+    residues = gaussian_ints(expander, p.n * p.n, table)
+    return ModQMatrix._canonical(p.n, p.q, residues.reshape(p.n, p.n), small=int(table.support[-1]))
 
 
 GEN_TAG = b"LSRP-gen"

@@ -18,8 +18,12 @@ Each party draws its ephemerals from one `SessionStream` (a ChaCha20
 keystream under a key hashed from the party's tag and session seed) in a
 fixed order, and drops the stream (its key and squeezed bytes, 1.5 MB at
 n=256) after the last draw, before any product: the client draws S_C, E_C
-and E_C' in hello and keeps E_C' for finish; the server draws S_S, E_S,
-E_S' and one signal variant bit per entry at the start of respond.  No
+and E_C' in hello and keeps E_C' for finish.  The server's ephemeral does
+not depend on the client (only V does, and V is added last), so a
+ServerSession draws S_S, E_S, E_S' and one signal variant bit per entry
+when it is created and computes A * S_S + 2*E_S then, as SRP precomputes
+g^b; `lsrp serve` creates it on accept, while the client computes its
+Hello, and respond adds V and takes the one product that needs B_C.  No
 peer reproduces these draws, so the wire does not depend on how they are
 expanded.  What a peer does reproduce, S_I and E_I from the registration
 seed, comes from a SHAKE-256 `StreamExpander`, as does the basis A.
@@ -35,6 +39,8 @@ computes once per handshake:
     M2 = SHAKE-256("LSRP-m2" | T | M1 | sk)[:32]     (server tag)
 
 lp() prefixes a 4-byte big-endian length and enc() is wire.encode_matrix.
+The server hashes T (hash_transcript) once the Challenge is on its way,
+while the client derives its key, so verify_client only computes tags.
 These tags came with wire.VERSION 2: a version-1 peer is refused at the
 frame header, and credential stores written by version 1 must be
 re-registered.
@@ -47,7 +53,7 @@ import hmac
 import secrets
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, EmptyField, InvalidState, LsrpError, VerificationFailed
+from .errors import DimensionMismatch, EmptyField, InvalidState, VerificationFailed
 from .modq import ModQMatrix
 from .params import SALT_LEN, ParamError, ProtocolParams
 from .reconcile import KeyBits, SignalMatrix, extract, signal
@@ -57,10 +63,6 @@ from .wire import TAG_LEN, matrix_fields
 
 SESSION_KEY_LEN = 32
 TRANSCRIPT_LEN = 32
-
-
-class UnknownId(LsrpError, KeyError):
-    """No credential record for the presented id."""
 
 
 @dataclass(frozen=True)
@@ -298,48 +300,69 @@ class ClientSession:
 
 
 class ServerSession:
-    """Single-handshake server state machine bound to one credential record."""
+    """Single-handshake server state machine.
 
-    def __init__(self, p: ProtocolParams, record: VerifierRecord,
-                 seed: bytes | None = None, keep_material: bool = False) -> None:
+    The session draws its ephemerals and computes A * S_S + 2*E_S when it is
+    created, before any client is known; respond binds it to one credential
+    record.  seed and keep_material are as for ClientSession.
+    """
+
+    def __init__(self, p: ProtocolParams, seed: bytes | None = None,
+                 keep_material: bool = False) -> None:
         self.params = p
-        self.record = record
         self.state = ServerState.INIT
         self.keep_material = keep_material
         # draw budget: S_S, E_S, E_S' and one signal variant bit per entry
-        self._exp = SessionStream(b"LSRP-server", seed if seed is not None else secrets.token_bytes(32),
-                                  reserve=3 * gaussian_matrix_bytes(p) + (p.n * p.n + 7) // 8)
+        exp = SessionStream(b"LSRP-server", seed if seed is not None else secrets.token_bytes(32),
+                            reserve=3 * gaussian_matrix_bytes(p) + (p.n * p.n + 7) // 8)
+        self._s_s: ModQMatrix | None = gaussian_matrix_from(p, exp)
+        e_s = gaussian_matrix_from(p, exp)
+        self._e_s_prime: ModQMatrix | None = gaussian_matrix_from(p, exp)
+        self._variants = exp.read_bits(p.n * p.n)
+        del exp  # its key and squeezed bytes determine S_S, E_S, E_S' and the variants
+        self._masked: ModQMatrix | None = shared_basis(p) @ self._s_s + e_s.scale2()
+        self.record: VerifierRecord | None = None
         self.b_c: ModQMatrix | None = None
         self.b_s: ModQMatrix | None = None
         self.sigma: SignalMatrix | None = None
+        self.transcript: bytes | None = None
         self.session_key: bytes | None = None
         self.key_material: ModQMatrix | None = None
 
-    def respond(self, client_id: bytes, b_c: ModQMatrix) -> tuple[bytes, ModQMatrix, SignalMatrix]:
-        """Second flow: (salt, B_S, signal); derives the server's key."""
+    def respond(self, record: VerifierRecord, b_c: ModQMatrix) -> tuple[bytes, ModQMatrix, SignalMatrix]:
+        """Second flow: (salt, B_S, signal) for record; derives the server's key."""
         if self.state is not ServerState.INIT:
             raise InvalidState(f"respond in state {self.state}")
-        if client_id != self.record.client_id:
-            raise UnknownId("session record does not match presented id")
         p = self.params
         if b_c.n != p.n or b_c.q != p.q:
             self._fail()
             raise DimensionMismatch("hello matrix does not match parameters")
-        v = self.record.verifier
-        s_s = gaussian_matrix_from(p, self._exp)
-        e_s = gaussian_matrix_from(p, self._exp)
-        e_s_prime = gaussian_matrix_from(p, self._exp)
-        variants = self._exp.read_bits(p.n * p.n)
-        self._exp = None  # its key and squeezed bytes determine S_S, E_S, E_S' and the variants
+        v = record.verifier
+        self.record = record
         self.b_c = b_c
-        self.b_s = v + shared_basis(p) @ s_s + e_s.scale2()
-        m_s = server_key_material(v, b_c, s_s, e_s_prime)
-        self.sigma = signal(m_s, variants)
+        self.b_s = v + self._masked
+        m_s = server_key_material(v, b_c, self._s_s, self._e_s_prime)
+        self.sigma = signal(m_s, self._variants)
         self.session_key = kdf(extract(m_s, self.sigma), p.lambda_seed)
         if self.keep_material:
             self.key_material = m_s
+        self._clear_secrets()
         self.state = ServerState.RESPONDED
-        return self.record.salt, self.b_s, self.sigma
+        return record.salt, self.b_s, self.sigma
+
+    def hash_transcript(self) -> bytes:
+        """The transcript digest the tags bind, computed once.
+
+        A server calls it after sending the Challenge, while the client
+        derives its key, rather than in respond, which holds the
+        handshake's largest working set; verify_client calls it otherwise.
+        """
+        if self.state is not ServerState.RESPONDED:
+            raise InvalidState(f"hash_transcript in state {self.state}")
+        if self.transcript is None:
+            self.transcript = transcript_digest(self.record.client_id, self.record.salt,
+                                                self.b_c, self.b_s)
+        return self.transcript
 
     def verify_client(self, m1: bytes) -> bytes:
         """Check the client tag; on success return the server tag.
@@ -348,8 +371,7 @@ class ServerSession:
         """
         if self.state is not ServerState.RESPONDED:
             raise InvalidState(f"verify_client in state {self.state}")
-        # hashed here rather than in respond, which holds the handshake's largest working set
-        transcript = transcript_digest(self.record.client_id, self.record.salt, self.b_c, self.b_s)
+        transcript = self.hash_transcript()
         expected = client_confirmation_tag(transcript, self.session_key)
         if not hmac.compare_digest(expected, m1):
             self._fail()
@@ -357,7 +379,13 @@ class ServerSession:
         self.state = ServerState.COMPLETE
         return server_confirmation_tag(transcript, m1, self.session_key)
 
+    def _clear_secrets(self) -> None:
+        self._s_s = None
+        self._e_s_prime = None
+        self._variants = None
+        self._masked = None  # B_S minus V: with B_S it gives V away
+
     def _fail(self) -> None:
-        self._exp = None
+        self._clear_secrets()
         self.session_key = None
         self.state = ServerState.FAILED

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import logging
 import pathlib
 import re
+import socket
 import threading
 import time
 
@@ -16,17 +19,26 @@ SALT = b"\x00" * 16
 SEED_FLAGS = ["--lambda-seed", LAMBDA_HEX]
 
 
-@pytest.fixture
-def server(tmp_path, toy):
+@contextlib.contextmanager
+def serving(tmp_path, toy):
+    """An LsrpServer for alice/pw at toy, serving from a thread until the block ends."""
     store = CredentialStore.open(str(tmp_path / "creds.db"), toy)
     store.put(register(toy, b"alice", b"pw", salt=SALT))
     srv = cli.LsrpServer(("127.0.0.1", 0), toy, store)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def server(tmp_path, toy):
+    with serving(tmp_path, toy) as srv:
+        yield srv
 
 
 def addr(srv):
@@ -132,6 +144,125 @@ def test_trickling_client_is_dropped_at_the_connection_deadline(server, toy, mon
     dropped = [rec for rec in caplog.records if "dropped" in rec.getMessage()]
     assert len(dropped) == 1 and dropped[0].levelno == logging.WARNING
     assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
+
+
+def test_sequential_logins_reuse_the_same_worker(server, toy, monkeypatch):
+    threads = set()
+    handle = cli._Handler.handle
+    monkeypatch.setattr(cli._Handler, "handle",
+                        lambda h: threads.add(threading.current_thread()) or handle(h))
+    for _ in range(20):
+        assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
+    # a worker takes the next connection once it is idle; one may start while
+    # the last is between its release and its next wait
+    assert 1 <= len(threads) <= 2
+
+
+def counting_sessions(monkeypatch):
+    """Count the server sessions cli creates: one per accepted connection, at handle's start."""
+    sessions = []
+    session = cli.ServerSession
+    monkeypatch.setattr(cli, "ServerSession", lambda p: sessions.append(p) or session(p))
+    return sessions
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+def test_a_full_pool_keeps_a_login_waiting_until_a_worker_is_free(tmp_path, toy, monkeypatch, caplog):
+    monkeypatch.setattr(cli, "MAX_WORKERS", 2)
+    monkeypatch.setattr(cli._Handler, "TIMEOUT", 0.5)
+    sessions = counting_sessions(monkeypatch)
+    peak, done = [0], threading.Event()
+
+    def watch():
+        while not done.is_set():
+            peak[0] = max(peak[0], threading.active_count())
+            time.sleep(0.002)
+
+    with caplog.at_level(logging.WARNING, logger="lsrp"), serving(tmp_path, toy) as srv:
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        start_count = threading.active_count()
+        stalled = [socket.create_connection(addr(srv), timeout=5) for _ in range(2)]
+        wait_for(lambda: len(sessions) == 2)  # both workers hold a client that sends nothing
+        # the login's own deadline, and its handler's, outlast the stalled clients' 0.5 s
+        monkeypatch.setattr(cli._Handler, "TIMEOUT", 10.0)
+        code, _ = cli.run_login(toy, b"alice", b"pw", addr(srv))
+        dropped_before_login = sum("dropped" in rec.getMessage() for rec in caplog.records)
+        done.set()
+        watcher.join()
+        for sock in stalled:
+            sock.close()
+    assert code == cli.EXIT_OK
+    assert dropped_before_login >= 1  # it was served only once a stalled client was dropped
+    assert peak[0] <= start_count + 2
+
+
+def test_shutdown_returns_within_one_deadline_while_the_pool_is_full(tmp_path, toy, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_WORKERS", 2)
+    monkeypatch.setattr(cli._Handler, "TIMEOUT", 0.5)
+    sessions = counting_sessions(monkeypatch)
+    store = CredentialStore.open(str(tmp_path / "creds.db"), toy)
+    srv = cli.LsrpServer(("127.0.0.1", 0), toy, store)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    stalled = [socket.create_connection(addr(srv), timeout=5) for _ in range(2)]
+    try:
+        wait_for(lambda: len(sessions) == 2)
+        # a third connection waits in the backlog, and the accept loop for a worker
+        stalled.append(socket.create_connection(addr(srv), timeout=5))
+        time.sleep(0.05)
+        start = time.monotonic()
+        srv.shutdown()
+        elapsed = time.monotonic() - start
+        srv.server_close()
+        thread.join(timeout=5)
+    finally:
+        for sock in stalled:
+            sock.close()
+    assert elapsed < 0.5 + 1
+    assert not thread.is_alive()
+
+
+def test_server_close_cuts_a_stalled_connection(tmp_path, toy, monkeypatch, capsys):
+    sessions = counting_sessions(monkeypatch)
+    with serving(tmp_path, toy) as srv, socket.create_connection(addr(srv), timeout=5) as sock:
+        wait_for(lambda: len(sessions) == 1)
+        start = time.monotonic()
+        srv.shutdown()
+        srv.server_close()  # within the 30 s deadline the stalled client would otherwise get
+        elapsed = time.monotonic() - start
+        assert sock.recv(1) == b""
+    assert elapsed < 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_server_works_ahead_of_the_client(server, toy, monkeypatch):
+    """The server draws its ephemeral and takes A S_S before it reads the Hello,
+    and hashes its transcript before it reads the confirmation."""
+    from lsrp import srp_core, wire
+    from lsrp.modq import ModQMatrix
+
+    events = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():  # the server's worker
+                events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(srp_core, "gaussian_matrix_from", recorded("draw", srp_core.gaussian_matrix_from))
+    monkeypatch.setattr(ModQMatrix, "__matmul__", recorded("product", ModQMatrix.__matmul__))
+    monkeypatch.setattr(srp_core, "transcript_digest", recorded("transcript", srp_core.transcript_digest))
+    monkeypatch.setattr(wire, "read_frame", recorded("read", wire.read_frame))
+    assert cli.run_login(toy, b"alice", b"pw", addr(server))[0] == cli.EXIT_OK
+    assert events == ["draw"] * 3 + ["product", "read", "product", "transcript", "read"]
 
 
 def test_oversized_hello_is_refused_before_its_body(server, toy):

@@ -214,3 +214,37 @@ def test_kept_float_form_gives_the_same_products(n, q):
     for other in (small, rand_matrix(rng, n, q)):
         assert kept @ other == a @ other
         assert other @ kept == other @ a
+
+
+@pytest.mark.parametrize("q", [(1 << 25) - 39, 4294967291])
+def test_known_small_operand_multiplies_the_other_uncentered(q, monkeypatch):
+    """A matrix that carries a bound on its centered entries (a Gaussian draw)
+    is centered without a scan, and its uniform partner is not centered at all."""
+    from lsrp import modq
+
+    n, bound = 64, 30
+    rng = np.random.default_rng(q % 2 ** 31)
+    signed = rng.integers(-bound, bound + 1, size=(n, n))
+    signed[0, :2] = (-bound, bound)
+    g = ModQMatrix._canonical(n, q, np.asarray(signed % q, dtype=np.int64), small=bound)
+    u = ModQMatrix(n, q, rng.integers(0, q, size=(n, n)))
+    u_top = ModQMatrix(n, q, np.full((n, n), q - 1))
+    centered_calls = []
+    centered_float = modq._centered_float
+    monkeypatch.setattr(modq, "_centered_float",
+                        lambda e, q: centered_calls.append(e is g.entries) or centered_float(e, q))
+    for a, b in ((g, u), (u, g), (g, u_top), (u_top, g)):
+        oracle = (a.entries.astype(object) @ b.entries.astype(object)) % q
+        assert (a @ b).entries.tolist() == oracle.tolist()
+    assert centered_calls == [True] * 4
+
+
+def test_sums_of_small_matrices_carry_the_sum_of_their_bounds():
+    q = 1153
+    a = ModQMatrix._canonical(2, q, np.array([[1, q - 3], [0, 2]]), small=3)
+    b = ModQMatrix._canonical(2, q, np.array([[q - 1, q - 4], [5, 0]]), small=5)
+    assert (a + b).small == 8 and (a + b).centered().tolist() == [[0, -7], [5, 2]]
+    assert (a + ModQMatrix(2, q, [[1, 1], [1, 1]])).small is None
+    assert (a - b).small is None and a.scale2().small is None
+    wide = ModQMatrix._canonical(2, q, np.zeros((2, 2), dtype=np.int64), small=q // 2 - 2)
+    assert (wide + b).small is None  # the sum could wrap past q/2

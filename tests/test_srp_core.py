@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import hmac
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -216,12 +217,12 @@ def test_handshake_matches_an_integer_reference_model(toy, client_seed, server_s
         mp.setattr(srp_core, "gaussian_matrix_from", recording_gaussian)
         mp.setattr(srp_core, "SessionStream", RecordingStream)
         rec = register(p, b"alice", password, salt=SALT)
+        server = ServerSession(p, seed=server_seed, keep_material=True)
         client = ClientSession(p, b"alice", client_password, seed=client_seed, keep_material=True)
-        server = ServerSession(p, rec, seed=server_seed, keep_material=True)
-        salt, b_s, sigma = server.respond(*client.hello())
+        salt, b_s, sigma = server.respond(rec, client.hello()[1])
         client.finish(salt, b_s, sigma)
-    # registration, client hello, server respond, then the client's own S_I and E_I in finish
-    s_i, e_i, s_c, e_c, e_c2, s_s, e_s, e_s2, s_i_c, e_i_c = draws
+    # registration, the server session, client hello, then the client's own S_I and E_I in finish
+    s_i, e_i, s_s, e_s, e_s2, s_c, e_c, e_c2, s_i_c, e_i_c = draws
     assert len(variants) == n * n
 
     a = shared_basis(p).entries.tolist()
@@ -264,14 +265,16 @@ def test_client_state_machine(toy):
 
 def test_server_state_machine(toy):
     rec = register(toy, b"alice", b"pw", salt=SALT)
-    s = ServerSession(toy, rec, seed=b"\x02" * 32)
+    s = ServerSession(toy, seed=b"\x02" * 32)
     with pytest.raises(InvalidState):
         s.verify_client(b"\x00" * 32)
-    c = ClientSession(toy, b"alice", b"pw", seed=b"\x03" * 32)
-    cid, b_c = c.hello()
-    s.respond(cid, b_c)
     with pytest.raises(InvalidState):
-        s.respond(cid, b_c)
+        s.hash_transcript()
+    c = ClientSession(toy, b"alice", b"pw", seed=b"\x03" * 32)
+    _, b_c = c.hello()
+    s.respond(rec, b_c)
+    with pytest.raises(InvalidState):
+        s.respond(rec, b_c)
 
 
 def test_secret_hygiene_after_completion(toy):
@@ -280,21 +283,43 @@ def test_secret_hygiene_after_completion(toy):
                              client_seed=b"\x04" * 32, server_seed=b"\x05" * 32)
     assert ok
     assert c.s_c is None and c.password is None
-    # E_C, S_S, E_S and E_S' are locals of hello and respond, never attributes
+    # E_C and E_S are locals of hello and of the server's construction, never attributes
     assert not hasattr(c, "e_c")
-    assert not any(hasattr(s, name) for name in ("s_s", "e_s", "e_s_prime"))
-    assert c._exp is None and s._exp is None  # the seeded streams the ephemerals came from
+    assert not any(hasattr(s, name) for name in ("s_s", "e_s", "e_s_prime", "_e_s"))
+    # the seeded streams the ephemerals came from; the server's is a local of its construction
+    assert c._exp is None and not hasattr(s, "_exp")
     assert c._e_c_prime is None
+    # S_S, E_S', the variant bits and A S_S + 2E_S are held from construction to respond
+    assert s._s_s is None and s._e_s_prime is None and s._variants is None and s._masked is None
 
 
-def test_each_seeded_stream_is_dropped_after_its_last_draw(toy):
+def test_each_seeded_stream_is_dropped_after_its_last_draw(toy, monkeypatch):
     rec = register(toy, b"alice", b"pw", salt=SALT)
+    streams, alive_at_product = [], []
+
+    class Recording(SessionStream):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            streams.append(weakref.ref(self))
+
+    matmul = ModQMatrix.__matmul__
+
+    def recording_matmul(x, y):
+        alive_at_product.append(streams[-1]() is not None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(srp_core, "SessionStream", Recording)
+    monkeypatch.setattr(ModQMatrix, "__matmul__", recording_matmul)
+    s = ServerSession(toy, seed=b"\x05" * 32)
+    # the server's stream is gone before its one product at construction
+    assert alive_at_product == [False] and not hasattr(s, "_exp")
+    assert s._s_s is not None and s._e_s_prime is not None  # S_S and E_S' wait for respond
     c = ClientSession(toy, b"alice", b"pw", seed=b"\x04" * 32)
-    s = ServerSession(toy, rec, seed=b"\x05" * 32)
-    cid, b_c = c.hello()
+    _, b_c = c.hello()
     assert c._exp is None and c._e_c_prime is not None  # E_C' waits for finish
-    s.respond(cid, b_c)
-    assert s._exp is None
+    assert alive_at_product == [False, False]
+    s.respond(rec, b_c)
+    assert s._s_s is None and s._e_s_prime is None
 
 
 @pytest.mark.parametrize("shake_side", ["client", "server"])
@@ -303,19 +328,31 @@ def test_shake_ephemerals_interoperate_with_session_streams(toy, shake_side, mon
     session streams) completes and confirms against one that uses them: no
     peer reproduces the other's ephemeral draws, so the wire is unchanged."""
     rec = register(toy, b"alice", b"pw", salt=SALT)
+    opened = {}
+
+    def recording(stream):
+        class Recording(stream):
+            def __init__(self, tag, *args, **kwargs):
+                super().__init__(tag, *args, **kwargs)
+                opened[tag] = stream
+        return Recording
+
     with monkeypatch.context() as m:
-        m.setattr(srp_core, "SessionStream", StreamExpander)
+        m.setattr(srp_core, "SessionStream", recording(StreamExpander))
         if shake_side == "client":
             c = ClientSession(toy, b"alice", b"pw", seed=b"\x06" * 32)
         else:
-            s = ServerSession(toy, rec, seed=b"\x07" * 32)
-    if shake_side == "client":
-        s = ServerSession(toy, rec, seed=b"\x07" * 32)
-    else:
-        c = ClientSession(toy, b"alice", b"pw", seed=b"\x06" * 32)
-    assert {type(c._exp), type(s._exp)} == {StreamExpander, SessionStream}
-    cid, b_c = c.hello()
-    salt, b_s, sigma = s.respond(cid, b_c)
+            s = ServerSession(toy, seed=b"\x07" * 32)
+    with monkeypatch.context() as m:
+        m.setattr(srp_core, "SessionStream", recording(SessionStream))
+        if shake_side == "client":
+            s = ServerSession(toy, seed=b"\x07" * 32)
+        else:
+            c = ClientSession(toy, b"alice", b"pw", seed=b"\x06" * 32)
+    assert opened == {b"LSRP-" + shake_side.encode(): StreamExpander,
+                      b"LSRP-" + {"client": b"server", "server": b"client"}[shake_side]: SessionStream}
+    _, b_c = c.hello()
+    salt, b_s, sigma = s.respond(rec, b_c)
     key = c.finish(salt, b_s, sigma)
     m2 = s.verify_client(c.confirmation())
     assert c.verify_server(m2)
@@ -338,9 +375,9 @@ def test_challenge_at_another_modulus_fails_the_client_session(toy):
 def test_failed_server_session_drops_key(toy):
     rec = register(toy, b"alice", b"pw", salt=SALT)
     c = ClientSession(toy, b"alice", b"pw", seed=b"\x06" * 32)
-    s = ServerSession(toy, rec, seed=b"\x07" * 32)
-    cid, b_c = c.hello()
-    s.respond(cid, b_c)
+    s = ServerSession(toy, seed=b"\x07" * 32)
+    _, b_c = c.hello()
+    s.respond(rec, b_c)
     with pytest.raises(VerificationFailed):
         s.verify_client(b"\x00" * 32)
     assert s.session_key is None and s.state is ServerState.FAILED
@@ -431,8 +468,8 @@ def test_handshake_hashes_its_transcript_once_per_party(toy, monkeypatch):
     _, _, ok = run_handshake(toy, rec, b"alice", b"pw",
                              client_seed=b"\x14" * 32, server_seed=b"\x15" * 32)
     assert ok
-    # ClientSession.finish and ServerSession.verify_client
-    assert digest_callers == ["finish", "verify_client"]
+    # ServerSession.hash_transcript, once the Challenge is out, then ClientSession.finish
+    assert digest_callers == ["hash_transcript", "finish"]
     # verify_server computes the client's tag again through confirmation()
     assert sorted(tag_callers) == ["confirmation"] * 2 + ["verify_client"] * 2 + ["verify_server"]
 
@@ -459,6 +496,22 @@ def test_handshake_draws_8_gaussian_matrices_and_takes_5_products(toy, monkeypat
     assert calls.count("gaussian_matrix_from") == 8
     assert calls.count("sample") == 8
     assert calls.count("matmul") == 5
+
+
+def test_wide_modulus_handshake_centers_only_its_gaussian_operands(params, monkeypatch):
+    """At n=256, q=2^25-39 the products need centered operands, but only the
+    Gaussian ones: S_C, S_I, S_I + S_C and S_S twice.  B_S - V and V + B_C
+    are cast as they are."""
+    from lsrp import modq
+
+    p = validate(dataclasses.replace(params, n=256, q=(1 << 25) - 39))
+    rec = register(p, b"alice", b"pw", salt=SALT)
+    calls = []
+    centered_float = modq._centered_float
+    monkeypatch.setattr(modq, "_centered_float", lambda e, q: calls.append(1) or centered_float(e, q))
+    _, _, ok = run_handshake(p, rec, b"alice", b"pw",
+                             client_seed=b"\x18" * 32, server_seed=b"\x19" * 32)
+    assert ok and len(calls) == 5
 
 
 def test_tags_from_independent_sessions_differ(toy):
@@ -503,11 +556,11 @@ def seeded_handshake_digest(p, seeds=3) -> str:
     h = hashlib.sha256()
     for i in range(seeds):
         c = ClientSession(p, b"alice", b"pw", seed=bytes([i, 1]) * 16)
-        s = ServerSession(p, rec, seed=bytes([i, 2]) * 16)
+        s = ServerSession(p, seed=bytes([i, 2]) * 16)
         hello = wire.encode_message(wire.Hello(*c.hello()))
         h.update(hello)
         msg = wire.decode_message(hello)
-        challenge = wire.encode_message(wire.Challenge(*s.respond(msg.client_id, msg.b_c)))
+        challenge = wire.encode_message(wire.Challenge(*s.respond(rec, msg.b_c)))
         h.update(challenge)
         msg = wire.decode_message(challenge)
         h.update(c.finish(msg.salt, msg.b_s, msg.sigma))
