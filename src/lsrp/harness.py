@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTrialCount, VerificationFailed
-from .modq import ModQMatrix, reduce_array
+from .modq import ModQMatrix, centered_array, reduce_array
 from .params import SALT_LEN, EvenModulus, ModulusTooSmall, ProtocolParams
-from .reconcile import extract, extract_bits, hint_bits, shift
+from .reconcile import extract, extract_bits, hint_bits
 from .sampler import StreamExpander, gaussian_matrix_from
 from .srp_core import (ClientSession, ServerSession, VerifierRecord, client_confirmation_tag,
                        kdf, register, shared_basis, transcript_digest)
@@ -206,4 +206,6 @@ def lemma_violations(q: int, tolerance: int | None = None,
 def signal_range_max(q: int) -> int:
     """Max |centered((y + hint_b(y)*(q-1)/2) mod q)| over all y and both variants."""
     y = np.arange(q, dtype=np.int64)
-    return max(int(np.abs(shift(y, hint_bits(y, b, q), q)).max()) for b in (0, 1))
+    shifted = (reduce_array(y + np.multiply(hint_bits(y, b, q), (q - 1) // 2, dtype=np.int64), q)
+               for b in (0, 1))
+    return max(int(np.abs(centered_array(s, q)).max()) for s in shifted)

@@ -9,22 +9,20 @@ constructor checks its input's dtype, shape and range; results of Z_q
 arithmetic are canonical by construction and skip those scans.
 
 A product multiplies float64 forms of both operands with BLAS and reduces
-the integer-valued result in int64.  It is exact while n*max|x|*max|y| <
-2^53: every partial sum is then an integer below 2^53 in any summation
-order.  When n*(q-1)^2 < 2^53 that holds for any canonical operands (at
-n=128, q=65537 the sums stay below 2^39), so the float form is the
-canonical residues and nothing is scanned.  Otherwise a matrix whose
-centered entries are known to be small (`small`: a Gaussian draw carries
-its table's bound, and a sum of two such matrices the sum of their
-bounds) is centered into (-q/2, q/2] without a scan, and its partner in a
-protocol product, uniform in Z_q, is cast as it is: n*small*(q-1) < 2^53
-holds at every protocol size (at n=256, q=2^25-39, tau=3 the sums stay
-below 2^39).  Other operands are centered and their largest absolute
-entries scanned; if the bound still fails, the canonical right operand
-is cut into k-bit limbs with n*max|x|*2^k < 2^53, recombined from the top
-limb in int64, where q*2^k < 2^63 rules out wrap.  A matrix used in many
-products (the basis A) computes its float form and bound once and keeps
-them (`keep_float_form`); no other matrix holds one past its product.
+the integer-valued result in int64.  It is exact while n*bx*by < 2^53, bx
+and by bounding the forms' absolute entries: every partial sum is then an
+integer below 2^53 in any summation order.  A matrix's form is its
+canonical residues (bound q-1), unless n*(q-1)^2 >= 2^53 and its centered
+entries are known to be small (`small`: a Gaussian draw carries its
+table's bound, a sum of two such matrices the sum of theirs); then it is
+those entries centered into (-q/2, q/2] (bound `small`).  Each protocol
+product pairs such a matrix with a uniform one, so one BLAS call does: the
+sums stay below 2^39 at n=128, q=65537 and at n=256, q=2^25-39, tau=3.
+Otherwise the right operand's canonical residues are cut into k-bit limbs
+with n*bx*2^k < 2^53, recombined from the top limb in int64, where
+q*2^k < 2^63 rules out wrap.  Nothing is scanned.  The basis A, used in
+many products, keeps its float form (`keep_float_form`); no other matrix
+holds one past its product.
 """
 from __future__ import annotations
 
@@ -153,24 +151,14 @@ class ModQMatrix:
         diff = np.subtract(self.entries, other.entries)
         return ModQMatrix._canonical(self.n, self.q, fold_signed(diff, self.q))
 
-    def _float_form(self, partner_small: int | None = None) -> tuple[np.ndarray, int]:
-        """The float64 form products multiply, and a bound on its absolute entries.
-
-        The canonical residues do when every product with them stays exact:
-        at n*(q-1)^2 < 2^53, or when this matrix's centered entries are not
-        known to be small but its partner's (partner_small) are.
-        """
+    def _float_form(self) -> tuple[np.ndarray, int]:
+        """The float64 form products multiply and a bound on its absolute entries (module docstring)."""
         if self._float is not None:
             return self._float
         n, q = self.n, self.q
-        if n * (q - 1) ** 2 < 1 << _FLOAT_EXACT_BITS or (
-                self.small is None and partner_small is not None
-                and n * partner_small * (q - 1) < 1 << _FLOAT_EXACT_BITS):
-            return self.entries.astype(np.float64), q - 1
-        x = _centered_float(self.entries, q)
-        if self.small is not None:
-            return x, self.small
-        return x, int(max(x.max(initial=0), -x.min(initial=0)))
+        if self.small is not None and n * (q - 1) ** 2 >= 1 << _FLOAT_EXACT_BITS:
+            return _centered_float(self.entries, q), self.small
+        return self.entries.astype(np.float64), q - 1
 
     def keep_float_form(self) -> "ModQMatrix":
         """Compute this matrix's float form and bound once and keep them for
@@ -184,16 +172,15 @@ class ModQMatrix:
         """Exact product mod q; see the module docstring for the exactness bound."""
         self._check(other)
         n, q = self.n, self.q
-        x, x_bound = self._float_form(other.small)
-        y, y_bound = other._float_form(self.small)
+        x, x_bound = self._float_form()
+        y, y_bound = other._float_form()
         row_bound = n * x_bound
         if row_bound * y_bound < 1 << _FLOAT_EXACT_BITS:
             k, limbs = 0, [y]
         else:
             k = min(_FLOAT_EXACT_BITS - row_bound.bit_length(), 63 - q.bit_length())
-            y = other.entries
-            count = -(-int(y.max()).bit_length() // k)
-            limbs = [(y >> (k * i)) & ((1 << k) - 1) for i in reversed(range(count))]
+            count = -(-(q - 1).bit_length() // k)
+            limbs = [(other.entries >> (k * i)) & ((1 << k) - 1) for i in reversed(range(count))]
         out = None
         for limb in limbs:
             part = reduce_array((x @ limb.astype(np.float64, copy=False)).astype(np.int64), q)

@@ -80,20 +80,6 @@ def hint_bits(x: np.ndarray, variant, q: int) -> np.ndarray:
     return ((y > b) & (y < q - b)).astype(np.uint8)
 
 
-def shift(x: np.ndarray, sigma, q: int) -> np.ndarray:
-    """Centered value of (x + sigma*(q-1)/2) mod q, whose parity is the shared bit.
-
-    x is canonical and sigma a bit array of its shape, so the sum s lies in
-    [0, q + (q-1)/2) and needs no reduction: its centered value is s - q
-    when s > (q-1)/2, else s (a sum at or past q gives s - q < (q-1)/2).
-    """
-    half = (q - 1) // 2
-    s = np.multiply(sigma, half, dtype=np.int64)
-    s += x
-    s -= q * (s > half)
-    return s
-
-
 def extract_bits(x: np.ndarray, sigma, q: int) -> np.ndarray:
     """Entrywise extractor on canonical residues x and hint bits sigma:
     parity(s) XOR (s > (q-1)/2) for s = x + sigma*(q-1)/2, as the module notes."""

@@ -138,9 +138,9 @@ def test_mul_matches_bigint_oracle(q):
 
 
 @pytest.mark.parametrize("left,right,n", [
-    ("gaussian", "uniform", 64),    # S*A: one pass on centered entries
-    ("uniform", "gaussian", 64),    # A*S
-    ("uniform", "uniform", 128),    # three 15-bit limbs
+    ("gaussian", "uniform", 64),    # no bound known: canonical residues, three 15-bit limbs
+    ("uniform", "gaussian", 64),    # likewise
+    ("uniform", "uniform", 128),    # three 13-bit limbs
 ])
 def test_mul_short_and_wide_operands_match_object_oracle(left, right, n):
     q = 4294967291
@@ -192,7 +192,7 @@ def test_non_integer_entries_are_refused_not_truncated():
 
 @pytest.mark.parametrize("q", [
     1 << 25,            # 8*(q-1)^2 < 2^53: canonical residues, no scan
-    (1 << 25) + 1,      # at the bound: centered and scanned
+    (1 << 25) + 1,      # at the bound: canonical residues times limbs
 ])
 def test_mul_exact_with_largest_entries_at_the_canonical_bound(q):
     n = 8
@@ -216,13 +216,12 @@ def test_kept_float_form_gives_the_same_products(n, q):
         assert other @ kept == other @ a
 
 
-@pytest.mark.parametrize("q", [(1 << 25) - 39, 4294967291])
-def test_known_small_operand_multiplies_the_other_uncentered(q, monkeypatch):
+def check_small_times_uniform(q, bound, monkeypatch):
     """A matrix that carries a bound on its centered entries (a Gaussian draw)
     is centered without a scan, and its uniform partner is not centered at all."""
     from lsrp import modq
 
-    n, bound = 64, 30
+    n = 64
     rng = np.random.default_rng(q % 2 ** 31)
     signed = rng.integers(-bound, bound + 1, size=(n, n))
     signed[0, :2] = (-bound, bound)
@@ -237,6 +236,34 @@ def test_known_small_operand_multiplies_the_other_uncentered(q, monkeypatch):
         oracle = (a.entries.astype(object) @ b.entries.astype(object)) % q
         assert (a @ b).entries.tolist() == oracle.tolist()
     assert centered_calls == [True] * 4
+
+
+@pytest.mark.parametrize("q", [(1 << 25) - 39, 4294967291])
+def test_known_small_operand_multiplies_the_other_uncentered(q, monkeypatch):
+    check_small_times_uniform(q, 30, monkeypatch)
+
+
+def test_known_small_operand_whose_bound_forces_limbs_matches_object_oracle(monkeypatch):
+    """At n*small*(q-1) >= 2^53 the uniform partner's canonical residues are cut into limbs."""
+    check_small_times_uniform(4294967291, 1 << 20, monkeypatch)
+
+
+def test_wide_modulus_without_a_known_bound_multiplies_canonical_residues(monkeypatch):
+    """At n*(q-1)^2 >= 2^53 a matrix whose centered entries are not known to be
+    small, the basis A's kept form included, is cast as it is: never centered."""
+    from lsrp import modq, srp_core
+    from lsrp.params import ProtocolParams, validate
+
+    n, q = 16, (1 << 25) - 39
+    assert n * (q - 1) ** 2 >= 1 << 53
+    monkeypatch.setattr(modq, "_centered_float", lambda e, q: pytest.fail("centered"))
+    rng = np.random.default_rng(16)
+    u = rand_matrix(rng, n, q)
+    x, bound = u._float_form()
+    assert bound == q - 1 and x.tolist() == u.entries.tolist()
+    a = srp_core.shared_basis(validate(ProtocolParams(n=n, q=q, tau=3.0, lambda_seed=b"\x05" * 32)))
+    assert a._float[1] == q - 1 and a._float[0].tolist() == a.entries.tolist()
+    assert a @ u == naive_mul(a, u)
 
 
 def test_sums_of_small_matrices_carry_the_sum_of_their_bounds():

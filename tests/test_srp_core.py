@@ -5,7 +5,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsrp import srp_core, wire
@@ -20,6 +20,7 @@ from lsrp.srp_core import (ClientSession, ClientState, ServerSession, ServerStat
                            decoy_record, decoy_verifier, kdf, register, registration_matrices,
                            server_confirmation_tag, server_key_material, shared_basis,
                            transcript_digest)
+from test_kat import read_kat
 
 LAMBDA = b"\x01" * 32
 SALT = b"\x00" * 16
@@ -187,9 +188,15 @@ def _int_add(x, y, q, k=1):
     return [[(a + k * b) % q for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
+KAT = read_kat()
+
+
 @settings(max_examples=30, deadline=None)
 @given(client_seed=st.binary(min_size=1, max_size=32), server_seed=st.binary(min_size=1, max_size=32),
        password=st.binary(min_size=1, max_size=16), wrong_password=st.booleans())
+# the known-answer file's handshake, whose id and salt are also alice and SALT
+@example(client_seed=bytes.fromhex(KAT["client_seed"]), server_seed=bytes.fromhex(KAT["server_seed"]),
+         password=bytes.fromhex(KAT["password"]), wrong_password=False)
 def test_handshake_matches_an_integer_reference_model(toy, client_seed, server_seed, password,
                                                       wrong_password):
     """The protocol's equations, recomputed from each party's recorded draws.
