@@ -81,8 +81,8 @@ def store_path(args) -> str:
 
 def parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not port.isdigit():
-        raise LsrpError(f"bad address {text!r}: expected [host:]port")
+    if not port.isdigit() or int(port) > 65535:
+        raise LsrpError(f"bad address {text!r}: expected [host:]port, port at most 65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -113,7 +113,7 @@ class _Handler(socketserver.BaseRequestHandler):
         record = srv.store.get(msg.client_id)
         if record is None:
             # anti-enumeration: answer with a deterministic decoy credential
-            record = decoy_record(srv.params, msg.client_id, srv.server_secret, srv.decoy_verifier)
+            record = decoy_record(msg.client_id, srv.server_secret, srv.decoy_verifier)
         try:
             salt, b_s, sigma = session.respond(record, msg.b_c)
         except LsrpError as exc:
@@ -161,15 +161,16 @@ class LsrpServer(socketserver.TCPServer):
     request_queue_size = MAX_WORKERS
 
     def __init__(self, addr, params: ProtocolParams, store: CredentialStore) -> None:
+        # before binding: a failed bind calls server_close, which shuts the pool down
+        self._workers = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="lsrp-worker")
+        self._free_workers = threading.BoundedSemaphore(MAX_WORKERS)
+        self._in_hand: set[socket.socket] = set()
+        self._in_hand_lock = threading.Lock()
         super().__init__(addr, _Handler)
         self.params = params
         self.store = store
         self.server_secret = secrets.token_bytes(32)
         self.decoy_verifier = decoy_verifier(params, self.server_secret)
-        self._workers = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="lsrp-worker")
-        self._free_workers = threading.BoundedSemaphore(MAX_WORKERS)
-        self._in_hand: set[socket.socket] = set()
-        self._in_hand_lock = threading.Lock()
 
     def get_request(self):
         self._free_workers.acquire()
@@ -267,7 +268,11 @@ def cmd_register(args) -> int:
 def cmd_serve(args) -> int:
     p = load_params(args)
     store = CredentialStore.open(store_path(args), p)
-    server = LsrpServer(parse_addr(args.listen), p, store)
+    addr = parse_addr(args.listen)
+    try:
+        server = LsrpServer(addr, p, store)
+    except OSError as exc:
+        raise LsrpError(f"cannot listen on {addr[0]}:{addr[1]}: {exc.strerror or exc}") from exc
     host, port = server.server_address[:2]
     log.info("listening on %s:%d (%d records)", host, port, len(store))
     try:

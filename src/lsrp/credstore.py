@@ -67,14 +67,13 @@ class CredentialStore:
                 raise CorruptRecord(f"record at offset {off} does not match store parameters", store)
             if len(msg.salt) != SALT_LEN:
                 raise CorruptRecord(f"record at offset {off} has a {len(msg.salt)}-byte salt", store)
-            store._index[msg.client_id] = VerifierRecord(msg.client_id, msg.salt, msg.verifier)
+            store._index[msg.client_id] = msg
             off = end
         return store
 
     def put(self, record: VerifierRecord) -> None:
         """Durably append a record; latest registration for an id wins."""
-        frame = wire.encode_message(
-            wire.Register(record.client_id, record.salt, record.verifier))
+        frame = wire.encode_message(record)
         try:
             with open(self.path, "ab") as fh:
                 fh.write(frame)

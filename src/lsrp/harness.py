@@ -24,6 +24,9 @@ from .srp_core import (ClientSession, ServerSession, VerifierRecord, client_conf
 from . import wire
 
 DEFAULT_MASTER_SEED = b"\x00" * 32
+SIM_CLIENT_ID = b"sim-user"
+SIM_PASSWORD = b"sim-password"
+MAX_VIOLATIONS = 20  # violations lemma_violations reports before it stops
 
 
 @dataclass
@@ -36,7 +39,7 @@ class HarnessReport:
     wrong_password_mismatches: int | None
     runtime: float
 
-    def render(self, include_runtime: bool = True) -> str:
+    def render(self) -> str:
         rows = [
             ("trials", str(self.trials)),
             ("agreements", str(self.agreements)),
@@ -46,9 +49,8 @@ class HarnessReport:
             ("tolerance_bound", str(self.tolerance_bound)),
             ("wrong_password_mismatches",
              "-" if self.wrong_password_mismatches is None else str(self.wrong_password_mismatches)),
+            ("runtime_s", f"{self.runtime:.3f}"),
         ]
-        if include_runtime:
-            rows.append(("runtime_s", f"{self.runtime:.3f}"))
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
@@ -93,9 +95,8 @@ def run_handshake(p: ProtocolParams, record: VerifierRecord, client_id: bytes,
 
 
 def simulate(p: ProtocolParams, trials: int, instrument: bool = False,
-             wrong_password: bool = False, master_seed: bytes | None = None,
-             client_id: bytes = b"sim-user", password: bytes = b"sim-password") -> HarnessReport:
-    """Seeded in-process handshake campaign."""
+             wrong_password: bool = False, master_seed: bytes | None = None) -> HarnessReport:
+    """Seeded in-process handshake campaign for SIM_CLIENT_ID and SIM_PASSWORD."""
     if trials < 1:
         raise InvalidTrialCount(f"trials must be >= 1, got {trials}")
     if master_seed is None:
@@ -103,15 +104,15 @@ def simulate(p: ProtocolParams, trials: int, instrument: bool = False,
     start = time.monotonic()
 
     salt = bytes(StreamExpander(b"LSRP-sim-salt", master_seed).read(SALT_LEN))
-    record = register(p, client_id, password, salt=salt)
+    record = register(p, SIM_CLIENT_ID, SIM_PASSWORD, salt=salt)
 
     agreements = 0
     mismatches = 0
     max_norm = 0
     for i in range(trials):
-        pw = _perturb(password, i) if wrong_password else password
+        pw = _perturb(SIM_PASSWORD, i) if wrong_password else SIM_PASSWORD
         client, server, confirmed = run_handshake(
-            p, record, client_id, pw,
+            p, record, SIM_CLIENT_ID, pw,
             client_seed=_trial_seed(master_seed, b"client", i),
             server_seed=_trial_seed(master_seed, b"server", i),
             keep_material=instrument)
@@ -172,14 +173,13 @@ def stolen_verifier_attempt(p: ProtocolParams, record: VerifierRecord,
     return True
 
 
-def lemma_violations(q: int, tolerance: int | None = None,
-                     max_report: int = 20) -> list[tuple[int, int, int, int]]:
+def lemma_violations(q: int, tolerance: int | None = None) -> list[tuple[int, int, int, int]]:
     """Exhaustively test extract-agreement at modulus q.
 
     For every y in [0, q), both hint variants b, and every even offset d
     with |d| <= tolerance (default floor(q/4) - 2), checks that y and
     y + d extract to the same bit under the hint computed on y.  Returns
-    up to max_report violations as (y, b, d, tolerance_used).
+    up to MAX_VIOLATIONS violations as (y, b, d, tolerance_used).
     """
     if q % 2 == 0:
         raise EvenModulus(f"modulus must be odd, got {q}")
@@ -196,9 +196,9 @@ def lemma_violations(q: int, tolerance: int | None = None,
         base = extract_bits(y, sigma, q)
         for d in offsets:
             bad = np.nonzero(extract_bits(reduce_array(y + d, q), sigma, q) != base)[0]
-            for idx in bad[:max(0, max_report - len(violations))]:
+            for idx in bad[:MAX_VIOLATIONS - len(violations)]:
                 violations.append((int(idx), b, int(d), tol))
-            if len(violations) >= max_report:
+            if len(violations) >= MAX_VIOLATIONS:
                 return violations
     return violations
 

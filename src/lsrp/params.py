@@ -6,9 +6,9 @@ parameter tau and the public 32-byte basis seed.  The Gaussian tail cutoff
 and the salt length are constants, not parameters: the client must rebuild
 V from tau and the salt bit for bit, and a decoy's salt must look like a
 real one.  The correctness condition
-12*(tau*sqrt(n))**2 <= q/4 - 2 ties tau and n to q; parameter sets that
-violate it are admitted only through `validate(allow_unsafe=True)` (needed
-for exhaustive small-q oracle tests).  q lies below 2^32 (`modq.Q_LIMIT`).  Every
+12*(tau*sqrt(n))**2 <= q/4 - 2 ties tau and n to q, and `validate` admits
+no set that violates it (a tiny oracle modulus needs a `ProtocolParams`
+built directly).  q lies below 2^32 (`modq.Q_LIMIT`).  Every
 `lsrp` command runs `default_params`; with no seed given, it uses the
 nothing-up-my-sleeve `DEFAULT_LAMBDA_SEED`.
 """
@@ -48,10 +48,6 @@ class ToleranceViolated(ParamError):
     pass
 
 
-class CutoffTooLarge(ParamError):
-    pass
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     n: int
@@ -75,12 +71,12 @@ class ProtocolParams:
         return 12.0 * self.tau * self.tau * self.n
 
 
-def validate(p: ProtocolParams, allow_unsafe: bool = False) -> ProtocolParams:
+def validate(p: ProtocolParams) -> ProtocolParams:
     """Check every parameter invariant; returns p unchanged on success.
 
-    With allow_unsafe=True the correctness condition on tau may be
-    violated (agreement is then not guaranteed); everything structural is
-    still enforced.
+    The correctness condition also keeps the Gaussian support inside
+    (-q/2, q/2): 12*tau^2*n <= q/4 gives (TAIL_CUTOFF*tau)^2 < 100*q/48,
+    which is below (q/2)^2 for every q > 8.
     """
     if not 1 <= p.n <= MAX_N:
         raise ParamError(f"dimension must lie in [1, {MAX_N}], got {p.n}")
@@ -94,12 +90,10 @@ def validate(p: ProtocolParams, allow_unsafe: bool = False) -> ProtocolParams:
         raise ModulusTooSmall(f"modulus too small: q={p.q}")
     if p.q >= Q_LIMIT:
         raise ModulusTooLarge(f"modulus {p.q} not below 2^32")
-    if not allow_unsafe and p.noise_bound > p.tolerance:
+    if p.noise_bound > p.tolerance:
         raise ToleranceViolated(
             f"12*tau^2*n = {p.noise_bound:g} exceeds floor(q/4)-2 = {p.tolerance}"
         )
-    if TAIL_CUTOFF * p.tau >= p.q / 2:
-        raise CutoffTooLarge(f"TAIL_CUTOFF*tau = {TAIL_CUTOFF * p.tau:g} not below q/2 = {p.q / 2:g}")
     return p
 
 

@@ -41,9 +41,12 @@ def _is_prime(p: int) -> bool:
 @dataclass(frozen=True)
 class RegevParams:
     n: int
-    m: int
     p: int
     alpha: float
+
+    @property
+    def m(self) -> int:
+        return 5 * self.n
 
     @property
     def tau(self) -> float:
@@ -53,8 +56,6 @@ class RegevParams:
 def validate_regev(rp: RegevParams) -> RegevParams:
     if rp.n < 1:
         raise InvalidRegevParams(f"dimension must be positive, got {rp.n}")
-    if rp.m != 5 * rp.n:
-        raise InvalidRegevParams(f"m must equal 5n, got m={rp.m}, n={rp.n}")
     if not _is_prime(rp.p):
         raise InvalidRegevParams(f"p={rp.p} is not prime")
     if not (rp.n ** 2 < rp.p < 2 * rp.n ** 2):
@@ -64,14 +65,15 @@ def validate_regev(rp: RegevParams) -> RegevParams:
     return rp
 
 
-def default_regev_params(n: int = 64) -> RegevParams:
-    """Test-scale parameters; alpha = 1/(sqrt(n) * (log2 n)^2) as a concrete
-    stand-in for the asymptotic smallness condition."""
+def default_regev_params() -> RegevParams:
+    """Test-scale parameters at n=64 (so m=320); alpha = 1/(sqrt(n) * (log2 n)^2)
+    as a concrete stand-in for the asymptotic smallness condition."""
+    n = 64
     p = n * n + 1
     while not _is_prime(p):
         p += 2 if p % 2 else 1
     alpha = 1.0 / (math.sqrt(n) * math.log2(n) ** 2)
-    return validate_regev(RegevParams(n=n, m=5 * n, p=p, alpha=alpha))
+    return validate_regev(RegevParams(n=n, p=p, alpha=alpha))
 
 
 @dataclass

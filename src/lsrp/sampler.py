@@ -8,10 +8,10 @@ A `SessionStream` is a ChaCha20 keystream (RFC 8439) under a key hashed
 from (tag, seed) with SHAKE-256; a party's private ephemerals come from
 one, since no peer ever reproduces them, and ChaCha20 expands a seed
 over ten times faster than the SHAKE-256 XOF.  Both squeeze a prefix of
-the stream and squeeze again from byte 0 when a read runs past it; a
-caller that knows its draw budget passes it as `reserve`, and the stream
-is squeezed once, at that length.  Both outputs are prefix-consistent,
-so a wrong budget costs time, never different bytes.
+the stream and squeeze again from byte 0 when a read runs past it.  The
+first squeeze is the longer of `reserve`, a caller's draw budget, and the
+first read.  Both outputs are prefix-consistent, so a wrong budget costs
+time, never different bytes.
 
 Both squeezes run in OpenSSL (the SHAKE-256 XOF and the ChaCha20 cipher),
 called through ctypes in the libcrypto that hashlib is linked against.
@@ -154,11 +154,11 @@ class StreamExpander:
     """Unbounded deterministic byte stream from SHAKE-256(tag, seed).
 
     Single-owner: reading advances internal position.  Distinct tags give
-    independent streams for the same seed.  `reserve` is the length of
-    the first squeeze; reads past it squeeze again at double the length.
+    independent streams for the same seed.  The first squeeze is the
+    longer of `reserve` and the first read; reads past it double the length.
     """
 
-    def __init__(self, tag: bytes, seed: bytes, reserve: int = 4096) -> None:
+    def __init__(self, tag: bytes, seed: bytes, reserve: int = 0) -> None:
         self._prefix = len(tag).to_bytes(4, "big") + tag + seed
         self._buf = np.empty(0, dtype=np.uint8)
         self._off = 0
@@ -196,7 +196,7 @@ class SessionStream(StreamExpander):
     no golden vector reproduces.  The stream keeps the key, not the seed.
     """
 
-    def __init__(self, tag: bytes, seed: bytes, reserve: int = 4096) -> None:
+    def __init__(self, tag: bytes, seed: bytes, reserve: int = 0) -> None:
         super().__init__(tag, seed, reserve)
         self._key = hashlib.shake_256(self._prefix).digest(32)
         del self._prefix

@@ -51,7 +51,6 @@ import enum
 import hashlib
 import hmac
 import secrets
-from dataclasses import dataclass
 
 from .errors import DimensionMismatch, EmptyField, InvalidState, VerificationFailed
 from .modq import ModQMatrix
@@ -59,17 +58,13 @@ from .params import SALT_LEN, ParamError, ProtocolParams
 from .reconcile import KeyBits, SignalMatrix, extract, signal
 from .sampler import (SessionStream, StreamExpander, derive_registration_seed, fresh_salt,
                       gaussian_matrix_bytes, gaussian_matrix_from, uniform_matrix)
-from .wire import TAG_LEN, matrix_fields
+from .wire import MAX_ID_LEN, TAG_LEN, FieldOutOfRange, Register, matrix_fields
 
 SESSION_KEY_LEN = 32
 TRANSCRIPT_LEN = 32
 
-
-@dataclass(frozen=True)
-class VerifierRecord:
-    client_id: bytes
-    salt: bytes
-    verifier: ModQMatrix
+# the server's credential record (id, salt, V) is the Register frame the store writes
+VerifierRecord = Register
 
 
 _BASIS_CACHE: dict = {}
@@ -112,6 +107,16 @@ def server_key_material(v: ModQMatrix, b_c: ModQMatrix, s_s: ModQMatrix,
     return (v + b_c) @ s_s + e_s_prime.scale2()
 
 
+def _check_credentials(client_id: bytes, password: bytes) -> None:
+    """Refuse an empty password and an id that is empty or longer than a Hello carries."""
+    if not client_id:
+        raise EmptyField("id must be nonempty")
+    if len(client_id) > MAX_ID_LEN:
+        raise FieldOutOfRange(f"id of {len(client_id)} bytes exceeds the {MAX_ID_LEN}-byte limit")
+    if not password:
+        raise EmptyField("password must be nonempty")
+
+
 def register(p: ProtocolParams, client_id: bytes, password: bytes,
              salt: bytes | None = None) -> VerifierRecord:
     """Produce the server-side credential record (id, salt, V).
@@ -120,10 +125,7 @@ def register(p: ProtocolParams, client_id: bytes, password: bytes,
     before returning; only the record leaves this function.  An explicit
     salt of SALT_LEN bytes may be injected for deterministic tests.
     """
-    if not client_id:
-        raise EmptyField("id must be nonempty")
-    if not password:
-        raise EmptyField("password must be nonempty")
+    _check_credentials(client_id, password)
     if salt is None:
         salt = fresh_salt()
     elif len(salt) != SALT_LEN:
@@ -145,8 +147,7 @@ def decoy_verifier(p: ProtocolParams, server_secret: bytes) -> ModQMatrix:
     return uniform_matrix(p, b"decoy-V", server_secret)
 
 
-def decoy_record(p: ProtocolParams, client_id: bytes, server_secret: bytes,
-                 verifier: ModQMatrix) -> VerifierRecord:
+def decoy_record(client_id: bytes, server_secret: bytes, verifier: ModQMatrix) -> VerifierRecord:
     """Indistinguishable stand-in record for unregistered ids (anti-enumeration).
 
     The salt is deterministic in (id, server_secret) so repeated probes see
@@ -217,10 +218,7 @@ class ClientSession:
 
     def __init__(self, p: ProtocolParams, client_id: bytes, password: bytes,
                  seed: bytes | None = None, keep_material: bool = False) -> None:
-        if not client_id:
-            raise EmptyField("id must be nonempty")
-        if not password:
-            raise EmptyField("password must be nonempty")
+        _check_credentials(client_id, password)
         self.params = p
         self.client_id = client_id
         self.password: bytes | None = password

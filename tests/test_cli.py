@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from lsrp import cli
+from lsrp import cli, wire
 from lsrp.credstore import CredentialStore
+from lsrp.errors import LsrpError
 from lsrp.srp_core import register
 
 LAMBDA_HEX = ("01" * 32)
@@ -431,6 +432,45 @@ def test_main_regev(capsys):
 def test_parse_addr_forms():
     assert cli.parse_addr("127.0.0.1:7464") == ("127.0.0.1", 7464)
     assert cli.parse_addr(":9000") == ("127.0.0.1", 9000)
+    assert cli.parse_addr(":65535") == ("127.0.0.1", 65535)
+    with pytest.raises(LsrpError, match="65535"):
+        cli.parse_addr(":70000")
+
+
+def test_serve_on_a_busy_port_or_past_65535_exits_1_without_a_traceback(tmp_path, caplog, capsys):
+    import logging
+
+    store = str(tmp_path / "creds.db")
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        with caplog.at_level(logging.ERROR, logger="lsrp"):
+            assert cli.main(["serve", "--store", store, "--listen", f"127.0.0.1:{port}"]) == cli.EXIT_ERROR
+            assert cli.main(["serve", "--store", store, "--listen", ":70000"]) == cli.EXIT_ERROR
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"LsrpError: cannot listen on 127.0.0.1:{port}: Address already in use",
+        "LsrpError: bad address ':70000': expected [host:]port, port at most 65535"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_the_longest_id_logs_in_and_a_longer_one_is_refused(server, toy, tmp_path, caplog):
+    import logging
+
+    longest = b"i" * wire.MAX_ID_LEN
+    server.store.put(register(toy, longest, b"pw", salt=SALT))
+    assert cli.run_login(toy, longest, b"pw", addr(server))[0] == cli.EXIT_OK
+    with pytest.raises(wire.FieldOutOfRange):
+        cli.run_login(toy, longest + b"i", b"pw", addr(server))
+    pw = tmp_path / "pw.txt"
+    pw.write_bytes(b"pw")
+    store = tmp_path / "long.db"
+    caplog.clear()  # the server's warning about the connection the refused login dropped
+    with caplog.at_level(logging.ERROR, logger="lsrp"):
+        assert cli.main(["register", *SEED_FLAGS, "--store", str(store), "--id", "i" * (wire.MAX_ID_LEN + 1),
+                         "--password-file", str(pw)]) == cli.EXIT_ERROR
+    assert [f"{wire.MAX_ID_LEN}-byte limit" in rec.getMessage() for rec in caplog.records] == [True]
+    assert not store.exists()
 
 
 def test_main_bad_hex_or_number_is_a_typed_error(tmp_path, caplog):

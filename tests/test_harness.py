@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from lsrp.errors import InvalidTrialCount
-from lsrp.harness import (lemma_violations, signal_range_max, simulate, stolen_verifier_attempt)
+from lsrp.harness import (MAX_VIOLATIONS, lemma_violations, signal_range_max, simulate,
+                          stolen_verifier_attempt)
 from lsrp.params import EvenModulus, ModulusTooSmall
 from lsrp.srp_core import register
 
@@ -19,7 +22,7 @@ def test_simulate_all_agree(toy):
 def test_simulate_reproducible_modulo_runtime(toy):
     a = simulate(toy, 10, instrument=True, master_seed=SEED)
     b = simulate(toy, 10, instrument=True, master_seed=SEED)
-    assert a.render(include_runtime=False) == b.render(include_runtime=False)
+    assert dataclasses.replace(a, runtime=0.0) == dataclasses.replace(b, runtime=0.0)
     c = simulate(toy, 10, instrument=True, master_seed=b"\x0d" * 32)
     assert c.agreements == 10  # different entropy, same verdict
 
@@ -77,7 +80,8 @@ def test_lemma_violations_input_checks():
 
 
 def test_lemma_violations_report_cap():
-    assert len(lemma_violations(41, tolerance=20, max_report=5)) == 5
+    assert MAX_VIOLATIONS == 20
+    assert len(lemma_violations(41, tolerance=20)) == MAX_VIOLATIONS
 
 
 def test_signal_range_max_bound():

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lsrp.params import (DEFAULT_LAMBDA_SEED, MAX_N, SALT_LEN, CutoffTooLarge, EvenModulus,
+from lsrp.params import (DEFAULT_LAMBDA_SEED, MAX_N, SALT_LEN, TAIL_CUTOFF, EvenModulus,
                          ModulusTooLarge, ModulusTooSmall, ParamError, ProtocolParams,
                          ToleranceViolated, default_params, validate)
 
@@ -52,10 +55,20 @@ def test_default_seed_is_fixed_public_constant():
     assert default_params().lambda_seed == DEFAULT_LAMBDA_SEED
 
 
-def test_cutoff_too_large_rejected():
-    # TAIL_CUTOFF * tau = 25 >= 41/2
-    with pytest.raises(CutoffTooLarge):
-        validate(mk(n=2, q=41, tau=2.5), allow_unsafe=True)
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, MAX_N), q=st.integers(4, (1 << 31) - 1).map(lambda k: 2 * k + 1),
+       tau=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), at_bound=st.booleans())
+@example(n=1, q=13, tau=1.0, at_bound=True)
+@example(n=2, q=41, tau=2.5, at_bound=False)
+def test_every_admitted_set_keeps_the_gaussian_support_below_half_q(n, q, tau, at_bound):
+    """The agreement bound alone keeps TAIL_CUTOFF * tau below q/2 (q odd, 9 <= q < 2^32)."""
+    if at_bound:  # the largest tau the bound admits, give or take a rounding
+        tau = math.sqrt((q // 4 - 2) / (12 * n))
+    try:
+        p = validate(mk(n=n, q=q, tau=tau))
+    except ParamError:  # not admitted (at q < 13 no tau is)
+        return
+    assert TAIL_CUTOFF * p.tau < p.q / 2
 
 
 def test_dimension_above_max_n_rejected():
@@ -82,7 +95,6 @@ def test_toy_profile_needs_unsafe_flag():
     # 12 * 1 * 2 = 24 > 41//4 - 2 = 8: bound not guaranteed
     with pytest.raises(ToleranceViolated):
         validate(toy)
-    assert validate(toy, allow_unsafe=True) is toy
 
 
 def test_toy_profile_with_larger_modulus_is_safe():

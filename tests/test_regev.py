@@ -29,7 +29,6 @@ def test_default_params_concrete_values(rp):
 
 @pytest.mark.parametrize("bad", [
     dict(n=0),
-    dict(m=321),
     dict(p=4097),        # not prime
     dict(p=4093),        # prime but below n^2
     dict(p=8209),        # prime but above 2n^2

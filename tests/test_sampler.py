@@ -48,6 +48,16 @@ def test_expander_reserve_gives_the_same_bytes(reserve):
             assert got == stream(b"t", b"s").read(sum(splits)), (stream, splits)
 
 
+@pytest.mark.parametrize("squeeze", ["_shake256", "_chacha20"])
+def test_unbudgeted_first_squeeze_is_the_first_read(squeeze, monkeypatch):
+    lengths = []
+    real = getattr(sampler, squeeze)
+    monkeypatch.setattr(sampler, squeeze, lambda key, length: lengths.append(length) or real(key, length))
+    stream = StreamExpander if squeeze == "_shake256" else SessionStream
+    assert len(stream(b"t", b"s").read(32)) == 32
+    assert lengths == [32]
+
+
 def _prefix(tag: bytes, seed: bytes) -> bytes:
     return len(tag).to_bytes(4, "big") + tag + seed
 

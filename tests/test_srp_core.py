@@ -534,11 +534,29 @@ def test_decoy_record_deterministic(params):
     secret = b"\xaa" * 32
     v = decoy_verifier(params, secret)
     assert v == decoy_verifier(params, secret) and v != decoy_verifier(params, b"\xab" * 32)
-    a = decoy_record(params, b"ghost", secret, v)
-    b = decoy_record(params, b"ghost", secret, v)
+    a = decoy_record(b"ghost", secret, v)
+    b = decoy_record(b"ghost", secret, v)
     assert a.salt == b.salt and a.verifier == b.verifier == v
-    assert decoy_record(params, b"ghost2", secret, v).salt != a.salt
-    assert decoy_record(params, b"ghost", b"\xab" * 32, v).salt != a.salt
+    assert decoy_record(b"ghost2", secret, v).salt != a.salt
+    assert decoy_record(b"ghost", b"\xab" * 32, v).salt != a.salt
+
+
+def test_the_credential_record_is_the_register_frame(toy):
+    assert srp_core.VerifierRecord is wire.Register
+    rec = register(toy, b"alice", b"pw", salt=SALT)
+    assert wire.decode_message(wire.encode_message(rec)) == rec
+
+
+def test_an_id_longer_than_a_hello_carries_is_refused_before_any_work(toy, monkeypatch):
+    longest = b"i" * wire.MAX_ID_LEN
+    rec = register(toy, longest, b"pw", salt=SALT)
+    assert run_handshake(toy, rec, longest, b"pw", b"\x01" * 32, b"\x02" * 32)[2]
+    monkeypatch.setattr(srp_core, "derive_registration_seed", None)  # any work fails differently
+    monkeypatch.setattr(srp_core, "SessionStream", None)
+    for refused in (lambda cid: register(toy, cid, b"pw", salt=SALT),
+                    lambda cid: ClientSession(toy, cid, b"pw")):
+        with pytest.raises(wire.FieldOutOfRange, match=f"{wire.MAX_ID_LEN + 1} bytes exceeds the {wire.MAX_ID_LEN}"):
+            refused(longest + b"i")
 
 
 # --- seeded handshakes, pinned end to end -----------------------------------
